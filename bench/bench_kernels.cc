@@ -164,9 +164,8 @@ main(int argc, char **argv)
               << " ms (" << exp_scalar_ms / exp_simd_ms << "x)\n";
 
     // ---- fused palettized decode: per-backend rows keyed by dispatch
-    // name, staged-vs-fused tensor path, and the opt-in fast-math
-    // variant. The staged/fused comparison doubles as the bit-identity
-    // gate for the exit code. ----
+    // name and the staged-vs-fused tensor path. The staged/fused
+    // comparison doubles as the bit-identity gate for the exit code. ----
     const int64_t din = 1024, dout = 1024;
     const int dbits = 4;
     Rng prng(17);
@@ -207,18 +206,6 @@ main(int argc, char **argv)
                 (void)sink;
             });
             palette_rows.push_back({kernels::backendName(be), ms});
-        }
-        // Opt-in fast-math variant: benched via its explicit handle;
-        // never part of any dispatch table.
-        if (kernels::PaletteDotFn fast = kernels::fastMathPaletteDot()) {
-            double ms = timeMs(reps, [&] {
-                fast(px.data(), din, pview.packed, pview.bits,
-                     pview.lut.data(), 0, dout, pout.data());
-                volatile float sink = pout[0];
-                (void)sink;
-            });
-            palette_rows.push_back(
-                {kernels::fastMathVariantName(), ms});
         }
     }
 
@@ -303,12 +290,6 @@ main(int argc, char **argv)
          << "    \"staged_ms\": " << staged_ms << ",\n"
          << "    \"fused_ms\": " << fuseddec_ms << ",\n"
          << "    \"fused_speedup\": " << staged_ms / fuseddec_ms
-         << ",\n"
-         << "    \"fastmath_variant\": "
-         << (kernels::fastMathVariantName() != nullptr
-                 ? std::string("\"") + kernels::fastMathVariantName() +
-                       "\""
-                 : std::string("null"))
          << ",\n"
          << "    \"staged_fused_bit_identical\": "
          << (palette_identical ? "true" : "false") << "\n"

@@ -31,8 +31,7 @@
  *     bit-identity.
  *  8. Fused palettized decode: tokens/sec with the fused m==1
  *     gather-mul-acc kernel vs the staged tile-decompress path, gated
- *     on bit-identical tokens and logits; plus a separate opt-in
- *     EDKM_FAST_MATH row that never influences the default path.
+ *     on bit-identical tokens and logits.
  *
  * Emits machine-readable JSON to BENCH_serving.json (cwd).
  */
@@ -49,7 +48,6 @@
 #include "api/session.h"
 #include "core/palettize.h"
 #include "device/device_manager.h"
-#include "kernels/kernels.h"
 #include "serve/engine.h"
 #include "serve/reader.h"
 #include "serve/server.h"
@@ -191,12 +189,9 @@ main()
     //     gather-mul-acc kernel vs the staged (tile-decompress) path,
     //     same engine, same request. Gated on bit-identical tokens and
     //     single-step logits, and on the fused path actually running.
-    //     A separate EDKM_FAST_MATH row is measured only through its
-    //     explicit opt-in switch and reset afterwards.
-    double fused_tps = 0.0, staged_tps = 0.0, fastmath_tps = 0.0;
-    bool fusedpath_identical = false, fastmath_clean = true;
+    double fused_tps = 0.0, staged_tps = 0.0;
+    bool fusedpath_identical = false;
     int64_t fused_decodes = 0;
-    const char *fastmath_variant = kernels::fastMathVariantName();
     {
         serve::InferenceEngine engine(reader);
         Tensor one = Tensor::fromIndices({7}, {1, 1});
@@ -220,20 +215,6 @@ main()
 
         fusedpath_identical = fused_res.tokens == staged_res.tokens &&
                               fused_logits == staged_logits;
-
-        if (fastmath_variant != nullptr) {
-            kernels::setFastMath(true);
-            engine.generate(req);
-            t0 = std::chrono::steady_clock::now();
-            engine.generate(req);
-            fastmath_tps = kNewTokens / (msSince(t0) / 1e3);
-            kernels::setFastMath(false);
-        }
-        // Opt-in must not leak: after the reset the default path
-        // reproduces the contract bits whether or not the variant is
-        // even compiled in.
-        fastmath_clean = !kernels::fastMathEnabled() &&
-                         engine.forward(one).toVector() == fused_logits;
     }
 
     // --- Throughput scaling: requests/sec through serve::Server at
@@ -555,15 +536,6 @@ main()
               << fused_tps / staged_tps
               << "x, tokens+logits bit-identical: "
               << (fusedpath_identical ? "yes" : "NO") << "\n";
-    if (fastmath_variant != nullptr) {
-        std::cout << "  fast-math [" << fastmath_variant
-                  << "] (opt-in): " << std::setprecision(1)
-                  << fastmath_tps << " tok/s\n";
-    } else {
-        std::cout << "  fast-math variant: not compiled in\n";
-    }
-    std::cout << "  opt-in reset leaves default path untouched: "
-              << (fastmath_clean ? "yes" : "NO") << "\n";
 
     std::cout << "\nserver scaling (" << batch.size()
               << " requests, shared reader):\n";
@@ -649,16 +621,7 @@ main()
          << ", \"speedup\": " << fused_tps / staged_tps
          << ", \"fused_matmuls\": " << fused_decodes
          << ", \"bit_identical\": "
-         << (fusedpath_identical ? "true" : "false")
-         << ", \"fastmath_variant\": "
-         << (fastmath_variant != nullptr
-                 ? std::string("\"") + fastmath_variant + "\""
-                 : std::string("null"))
-         << ", \"fastmath_tokens_per_sec\": "
-         << (fastmath_variant != nullptr ? std::to_string(fastmath_tps)
-                                         : std::string("null"))
-         << ", \"fastmath_opt_in_clean\": "
-         << (fastmath_clean ? "true" : "false") << "},\n"
+         << (fusedpath_identical ? "true" : "false") << "},\n"
          << "  \"scaling\": [";
     for (size_t i = 0; i < scaling.size(); ++i) {
         json << (i == 0 ? "" : ", ") << "{\"threads\": "
@@ -732,13 +695,11 @@ main()
     // nothing while staying per-generation bit-identical.
     bool verify_pass = verify_identical && !verify_rows.empty() &&
                        verify_rows.front().sectionsVerified > 0;
-    // Fused-decode gates: the fused m==1 path must actually run, stay
-    // bit-identical to the staged path (tokens and single-step logits),
-    // and the fast-math opt-in must leave the default path untouched
-    // after its round trip. The speedup itself is reported, not gated —
-    // it is hardware-dependent.
-    bool fused_pass = fusedpath_identical && fused_decodes > 0 &&
-                      fastmath_clean;
+    // Fused-decode gates: the fused m==1 path must actually run and stay
+    // bit-identical to the staged path (tokens and single-step logits).
+    // The speedup itself is reported, not gated — it is
+    // hardware-dependent.
+    bool fused_pass = fusedpath_identical && fused_decodes > 0;
     bool pass = exact && ratio < 0.5 && kv_identical &&
                 kv_tps > full_tps && scaling_identical && cb_identical &&
                 batched_wins && prefix_identical && warm.hitRate > 0.0 &&

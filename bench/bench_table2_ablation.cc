@@ -294,7 +294,8 @@ main()
     }
     std::cout << "\nExpected shape: strict memory ordering base > M > "
                  "M+S > M+U > M+U+S at full scale; ~130x combined; "
-                 "reconstruct pays extra backward time for autograd "
-                 "compatibility.\n";
+                 "reconstruct and fused charge about the same simulated "
+                 "time; reconstruct's per-member last iteration usually "
+                 "costs it some wall time.\n";
     return 0;
 }

@@ -82,14 +82,6 @@ computeTable(const Tensor &u_col, const Tensor &c_row, float tau)
     return kernels::attentionTable(u_col, c_row, tau);
 }
 
-/** Gather @p table rows ([U,k]) by u16 @p idx ([n]) -> dense [n,k]
- *  (contiguity hoisted, consecutive rows memcpy-batched). */
-Tensor
-gatherTableRows(const Tensor &table, const Tensor &idx)
-{
-    return kernels::gatherTableRows(table, idx);
-}
-
 /**
  * Scatter-add 1-D @p g ([n]) into [U] buckets by u16 @p idx. Chunked:
  * each chunk scatters into a private [U] buffer; buffers merge in chunk
@@ -124,11 +116,53 @@ scatterAddByIdx(const Tensor &g, const Tensor &idx, int64_t u_count)
 }
 
 /**
+ * Paper-mode (kReconstruct) backward arithmetic of one attention row:
+ * the nv/m gradient into the row's gA, then the softmax backward and the
+ * squared-distance path. @p grow is the row's gA ([k]), seeded by the
+ * caller and updated in place; each centroid's gc term goes to
+ * sink(j, term); the return value is the row's gw term. Every pass of
+ * denseBackward evaluates rows through this one function, so the
+ * per-member and per-bucket passes produce the same bits.
+ */
+struct PaperRowMath
+{
+    int64_t k;
+    float inv_tau;
+    const float *gn; ///< [k] gradient w.r.t. nv
+    const float *gm; ///< [k] gradient w.r.t. m
+    const float *c_in; ///< [k] centroids the table was built from
+
+    template <typename Sink>
+    double
+    operator()(float wi, const float *arow, float *grow,
+               Sink &&sink) const
+    {
+        // gA += gn w_i + gm ; direct gw from nv.
+        double dot = 0.0;
+        double gw_acc = 0.0;
+        for (int64_t j = 0; j < k; ++j) {
+            grow[j] += gn[j] * wi + gm[j];
+            gw_acc += static_cast<double>(arow[j]) * gn[j];
+            dot += static_cast<double>(grow[j]) * arow[j];
+        }
+        // softmax backward + distance path.
+        for (int64_t j = 0; j < k; ++j) {
+            float gs = arow[j] * (grow[j] - static_cast<float>(dot));
+            float gdsq = -gs * inv_tau;
+            float d = wi - c_in[j];
+            gw_acc += static_cast<double>(gdsq) * 2.0 * d;
+            sink(j, static_cast<double>(gdsq) * (-2.0) * d);
+        }
+        return gw_acc;
+    }
+};
+
+/**
  * The whole unrolled DKM loop as one autograd node. Forward runs in
  * table space (or dense when uniquification is off); backward either
- * reconstructs the dense attention map per iteration (paper mode) or
- * stays in table space (fused mode). Gradients equal the composed dense
- * DkmLayer's up to float associativity.
+ * runs the paper's per-member arithmetic (paper mode) or stays in table
+ * space (fused mode). Gradients equal the composed dense DkmLayer's up
+ * to float associativity.
  */
 class EdkmClusterNode : public Node
 {
@@ -160,14 +194,15 @@ class EdkmClusterNode : public Node
     /** Recover the full index list (simulated all-gather when sharded). */
     Tensor fullIndexList() const;
 
-    /** Recover iteration @p it's dense attention map [n,k]. */
-    Tensor denseMap(const EdkmTape::Iter &iter, const Tensor &idx,
+    /** Recover iteration @p it's dense attention map [n,k]
+     *  (uniquify off). */
+    Tensor denseMap(const EdkmTape::Iter &iter,
                     const Tensor &w_dense) const;
 
     /** Table-space backward (extension; uniquify mode only). */
     Tensor fusedBackward(const Tensor &g);
 
-    /** Dense backward with reconstruction (paper-faithful). */
+    /** Per-member backward arithmetic (paper-faithful). */
     Tensor denseBackward(const Tensor &g);
 
     std::shared_ptr<EdkmTape> tape_;
@@ -191,14 +226,10 @@ EdkmClusterNode::fullIndexList() const
 }
 
 Tensor
-EdkmClusterNode::denseMap(const EdkmTape::Iter &iter, const Tensor &idx,
+EdkmClusterNode::denseMap(const EdkmTape::Iter &iter,
                           const Tensor &w_dense) const
 {
     const EdkmTape &t = *tape_;
-    if (t.config.uniquify) {
-        // gather rows of the saved table
-        return gatherTableRows(iter.table.unpack(), idx);
-    }
     Tensor saved = iter.table.unpack(); // dense rows (maybe a shard)
     if (!iter.tableSharded) {
         return saved;
@@ -213,36 +244,46 @@ EdkmClusterNode::denseMap(const EdkmTape::Iter &iter, const Tensor &idx,
     return full;
 }
 
+/**
+ * Member i's attention row is row(i) of the iteration's table: idx[i]
+ * of the [U,k] table with uniquification, row i of the dense [n,k] map
+ * without. Its value is vals[row(i)] (the unique values or the dense
+ * weights). Only the last iteration's gA row carries a member-specific
+ * term (g_i * c_final); in every earlier one gA starts at 0, so with
+ * uniquification the row's whole result depends on idx[i] alone. Those
+ * iterations evaluate each unique row once and gather-add the results in
+ * member order, inside the same chunked reduce over members, so every
+ * sum sees the same terms in the same order as a per-member pass.
+ */
 Tensor
 EdkmClusterNode::denseBackward(const Tensor &g)
 {
     const EdkmTape &t = *tape_;
-    int64_t n = t.n, k = t.k;
+    int64_t n = t.n, k = t.k, U = t.uCount;
     int num_iters = static_cast<int>(t.iters.size());
-    float inv_tau = 1.0f / t.tau;
+    bool uniq = t.config.uniquify;
 
-    // Dense weight values (bucketed when uniquification is on).
     Tensor idx;
-    Tensor w_dense;
-    if (t.config.uniquify) {
+    Tensor vals;
+    if (uniq) {
         idx = fullIndexList();
-        Tensor u = t.uValuesSaved.unpack();
-        w_dense = Tensor::empty({n}, DType::kF32, g.device());
-        const float *pu = u.rawData<const float>();
-        const uint16_t *pi = idx.rawData<const uint16_t>();
-        float *pw = w_dense.rawData<float>();
-        parallelFor(0, n, grainFor(n), [&](int64_t cb, int64_t ce) {
-            kernels::gatherU16(pu, pi + cb, ce - cb, pw + cb);
-        });
+        vals = t.uValuesSaved.unpack();
     } else {
-        w_dense = t.wRetained.isContiguous()
-                      ? t.wRetained.view({n})
-                      : t.wRetained.contiguous().view({n});
-        if (w_dense.dtype() != DType::kF32) {
-            w_dense = w_dense.to(DType::kF32);
+        vals = t.wRetained.isContiguous()
+                   ? t.wRetained.view({n})
+                   : t.wRetained.contiguous().view({n});
+        if (vals.dtype() != DType::kF32) {
+            vals = vals.to(DType::kF32);
         }
     }
-    const float *pw = w_dense.rawData<const float>();
+    const uint16_t *pidx = uniq ? idx.rawData<const uint16_t>() : nullptr;
+    const float *pv = vals.rawData<const float>();
+    auto row_of = [pidx](int64_t i) -> int64_t {
+        return pidx != nullptr ? pidx[i] : i;
+    };
+    auto table_of = [&](const EdkmTape::Iter &iter) {
+        return uniq ? iter.table.unpack() : denseMap(iter, vals);
+    };
 
     Tensor gw = Tensor::zeros({n}, DType::kF32, g.device());
     float *pgw = gw.rawData<float>();
@@ -250,39 +291,38 @@ EdkmClusterNode::denseBackward(const Tensor &g)
 
     // Final step: W~ = A_last * c_final.
     std::vector<float> c_final = t.cFinal.toVector();
-    Tensor a_last = denseMap(t.iters.back(), idx, w_dense);
-    const float *pa_last = a_last.rawData<const float>();
+    Tensor table_last = table_of(t.iters.back());
 
     // gc[k]: gradient w.r.t. the centroid vector flowing backwards.
     int64_t row_grain = grainFor(n, 8 * k);
+    const float *ptl = table_last.rawData<const float>();
     std::vector<double> gc = parallelReduce<std::vector<double>>(
         0, n, row_grain, std::vector<double>(static_cast<size_t>(k), 0.0),
         [&](int64_t cb, int64_t ce) {
             std::vector<double> part(static_cast<size_t>(k), 0.0);
             for (int64_t i = cb; i < ce; ++i) {
+                const float *arow = ptl + row_of(i) * k;
                 for (int64_t j = 0; j < k; ++j) {
                     part[static_cast<size_t>(j)] +=
-                        static_cast<double>(pg[i]) * pa_last[i * k + j];
+                        static_cast<double>(pg[i]) * arow[j];
                 }
             }
             return part;
         },
         combineVec);
 
-    // gA carried into the per-iteration loop; only the last iteration
-    // receives the member-specific term from the final matmul.
-    Tensor gA = Tensor::empty({n, k}, DType::kF32, g.device());
-    float *pgA = gA.rawData<float>();
-    parallelFor(0, n, grainFor(n, k), [&](int64_t cb, int64_t ce) {
-        for (int64_t i = cb; i < ce; ++i) {
-            for (int64_t j = 0; j < k; ++j) {
-                pgA[i * k + j] = pg[i] * c_final[static_cast<size_t>(j)];
-            }
-        }
-    });
+    // Per-unique-row scratch of the bucket-invariant iterations: the gc
+    // terms ([U,k] f64 in 8-byte slots) and the gw term ([U]).
+    bool bucketed = uniq && num_iters > 1;
+    Tensor contrib_t, gwb_t;
+    if (bucketed) {
+        contrib_t = Tensor::empty({U, k}, DType::kI64, g.device());
+        gwb_t = Tensor::empty({U}, DType::kF32, g.device());
+    }
 
     for (int it = num_iters - 1; it >= 0; --it) {
         const EdkmTape::Iter &iter = t.iters[static_cast<size_t>(it)];
+        bool last = it == num_iters - 1;
         std::vector<float> c_in = iter.cIn.toVector();
         std::vector<float> m = iter.m.toVector();
         std::vector<float> nv = iter.nv.toVector();
@@ -298,59 +338,83 @@ EdkmClusterNode::denseBackward(const Tensor &g)
                 -static_cast<float>(gc[static_cast<size_t>(j)]) *
                 nv[static_cast<size_t>(j)] / (mj * mj);
         }
+        const PaperRowMath row_math{k, 1.0f / t.tau, gn.data(),
+                                    gm.data(), c_in.data()};
 
-        Tensor a_t = (it == num_iters - 1)
-                         ? a_last
-                         : denseMap(iter, idx, w_dense);
-        const float *pa = a_t.rawData<const float>();
+        Tensor table = last ? table_last : table_of(iter);
+        const float *pt = table.rawData<const float>();
 
-        // Accumulate gA contributions of nv/m, then softmax backward,
-        // then the squared-distance path; gc for the next (earlier)
-        // iteration accumulates per chunk (rows i are disjoint).
+        if (last || !bucketed) {
+            // Per-member pass, gA seeded with the member's own final-step
+            // term (last iteration) or 0; gc for the next (earlier)
+            // iteration accumulates per chunk (rows i are disjoint).
+            gc = parallelReduce<std::vector<double>>(
+                0, n, row_grain,
+                std::vector<double>(static_cast<size_t>(k), 0.0),
+                [&](int64_t cb, int64_t ce) {
+                    std::vector<double> part(static_cast<size_t>(k), 0.0);
+                    std::vector<float> grow(static_cast<size_t>(k));
+                    for (int64_t i = cb; i < ce; ++i) {
+                        int64_t r = row_of(i);
+                        for (int64_t j = 0; j < k; ++j) {
+                            grow[static_cast<size_t>(j)] =
+                                last ? pg[i] *
+                                           c_final[static_cast<size_t>(j)]
+                                     : 0.0f;
+                        }
+                        double gw_acc = row_math(
+                            pv[r], pt + r * k, grow.data(),
+                            [&](int64_t j, double term) {
+                                part[static_cast<size_t>(j)] += term;
+                            });
+                        pgw[i] += static_cast<float>(gw_acc);
+                    }
+                    return part;
+                },
+                combineVec);
+            continue;
+        }
+
+        // Bucket pass: each unique row once (rows r are disjoint).
+        double *pcontrib = contrib_t.rawData<double>();
+        float *pgwb = gwb_t.rawData<float>();
+        parallelFor(0, U, grainFor(U, 8 * k), [&](int64_t cb, int64_t ce) {
+            std::vector<float> grow(static_cast<size_t>(k));
+            for (int64_t r = cb; r < ce; ++r) {
+                std::fill(grow.begin(), grow.end(), 0.0f);
+                double *crow = pcontrib + r * k;
+                double gw_acc = row_math(
+                    pv[r], pt + r * k, grow.data(),
+                    [crow](int64_t j, double term) { crow[j] = term; });
+                pgwb[r] = static_cast<float>(gw_acc);
+            }
+        });
+        // Member pass: gather-add the bucket results in member order.
         gc = parallelReduce<std::vector<double>>(
             0, n, row_grain,
             std::vector<double>(static_cast<size_t>(k), 0.0),
             [&](int64_t cb, int64_t ce) {
                 std::vector<double> part(static_cast<size_t>(k), 0.0);
                 for (int64_t i = cb; i < ce; ++i) {
-                    float wi = pw[i];
-                    float *grow = pgA + i * k;
-                    const float *arow = pa + i * k;
-                    // gA += gn w_i + gm ; direct gw from nv.
-                    double dot = 0.0;
-                    double gw_acc = 0.0;
+                    uint16_t r = pidx[i];
+                    const double *crow = pcontrib + r * k;
                     for (int64_t j = 0; j < k; ++j) {
-                        grow[j] += gn[static_cast<size_t>(j)] * wi +
-                                   gm[static_cast<size_t>(j)];
-                        gw_acc += static_cast<double>(arow[j]) *
-                                  gn[static_cast<size_t>(j)];
-                        dot += static_cast<double>(grow[j]) * arow[j];
+                        part[static_cast<size_t>(j)] += crow[j];
                     }
-                    // softmax backward + distance path.
-                    for (int64_t j = 0; j < k; ++j) {
-                        float gs = arow[j] *
-                                   (grow[j] - static_cast<float>(dot));
-                        float gdsq = -gs * inv_tau;
-                        float d = wi - c_in[static_cast<size_t>(j)];
-                        gw_acc += static_cast<double>(gdsq) * 2.0 * d;
-                        part[static_cast<size_t>(j)] +=
-                            static_cast<double>(gdsq) * (-2.0) * d;
-                    }
-                    pgw[i] += static_cast<float>(gw_acc);
+                    pgw[i] += pgwb[r];
                 }
                 return part;
             },
             combineVec);
-
-        if (it > 0) {
-            // Earlier iterations receive no member-specific gA term.
-            gA.fill(0.0f);
-        }
     }
-    // Dense backward touches ~8 values per (weight, centroid) pair and
-    // iteration.
-    chargeFlops(8.0 * static_cast<double>(n) * k * num_iters,
-               g.device());
+    // ~8 ops per (row, centroid) pair of each row pass, plus one add per
+    // (member, centroid) pair of each gather-add.
+    double early_iter_flops =
+        bucketed ? 8.0 * U * k + static_cast<double>(n) * k
+                 : 8.0 * static_cast<double>(n) * k;
+    chargeFlops(8.0 * static_cast<double>(n) * k +
+                    (num_iters - 1) * early_iter_flops,
+                g.device());
     // gc[0] flows into the constant initialisation: dropped.
     return gw;
 }

@@ -20,12 +20,16 @@
  *    back for backward; the simulation regenerates them deterministically
  *    and accounts the communication (src/dist).
  *
- *  - Backward modes: kReconstruct (paper-faithful) transiently rebuilds
- *    the dense attention map with a gather so the standard dense backward
- *    formulas apply ("to stay compatible with the existing autograd
- *    implementation"); kFused (our extension) evaluates the backward
- *    entirely in table space, never materialising |W| x |C|. Both produce
- *    identical gradients (see tests/test_edkm.cc).
+ *  - Backward modes: kReconstruct (paper-faithful) reproduces the
+ *    paper's per-member gradient arithmetic bit for bit, reading each
+ *    member's attention row from the saved table through the index list.
+ *    Every iteration but the last is bucket-invariant (a member's result
+ *    depends only on its unique value), so those are evaluated once per
+ *    unique value and gathered back in member order; no |W| x |C| map
+ *    is materialised. kFused (our extension) also evaluates the last
+ *    iteration in table space, with reassociated sums: its gradients
+ *    match kReconstruct's to float tolerance, not bit for bit (see
+ *    tests/test_edkm.cc).
  *
  * Saved tensors flow through SavedTensor, hence through any installed
  * marshaling context (section 2.1) — benches install MarshalContext to
@@ -68,7 +72,7 @@ struct EdkmConfig
 
     /** How backward consumes the saved representation. */
     enum class BackwardMode {
-        kReconstruct, ///< paper: rebuild the dense map transiently
+        kReconstruct, ///< paper: per-member gradient arithmetic
         kFused,       ///< extension: stay in table space
     };
     BackwardMode backwardMode = BackwardMode::kReconstruct;

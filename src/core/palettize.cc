@@ -378,13 +378,6 @@ paletteMatmulT(const Tensor &x, const PaletteView &w)
     }
     g_fused_calls.fetch_add(1, std::memory_order_relaxed);
     kernels::PaletteDotFn fn = kernels::active().paletteDotFused;
-    if (kernels::fastMathEnabled()) {
-        // Explicit opt-in only: trades bit-identity for FMA throughput
-        // (see kernels_fastmath.cc). Never reached by default.
-        if (kernels::PaletteDotFn fast = kernels::fastMathPaletteDot()) {
-            fn = fast;
-        }
-    }
     Tensor outT = Tensor::empty({1, out}, DType::kF32, xc.device());
     const float *px = xc.rawData<float>();
     const float *lut = w.lut.data();

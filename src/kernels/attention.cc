@@ -37,30 +37,6 @@ attentionTable(const Tensor &u, const Tensor &c, float tau)
     return out;
 }
 
-Tensor
-gatherTableRows(const Tensor &table, const Tensor &idx)
-{
-    EDKM_CHECK(table.dim() == 2, "gatherTableRows: table must be 2-d");
-    EDKM_CHECK(idx.dtype() == DType::kU16,
-               "gatherTableRows: u16 index list expected");
-    int64_t n = idx.numel();
-    int64_t k = table.size(1);
-    // Contiguity resolved once, outside the gather loop.
-    Tensor tc = table.isContiguous() ? table : table.contiguous();
-    Tensor ic = idx.isContiguous() ? idx : idx.contiguous();
-    Tensor out = Tensor::empty({n, k}, DType::kF32, table.device());
-    const float *pt = tc.rawData<const float>();
-    const uint16_t *pi = ic.rawData<const uint16_t>();
-    float *po = out.rawData<float>();
-    runtime::parallelFor(0, n, runtime::grainFor(n, k),
-                         [&](int64_t cb, int64_t ce) {
-                             gatherRowsU16(pt, k, pi + cb, ce - cb,
-                                           po + cb * k);
-                         });
-    chargeFlops(static_cast<double>(n * k), table.device());
-    return out;
-}
-
 void
 assignNearest(const std::vector<float> &centroids, const float *values,
               int64_t n, int32_t *out)

@@ -34,13 +34,6 @@ namespace kernels {
 Tensor attentionTable(const Tensor &u, const Tensor &c, float tau);
 
 /**
- * Gather rows of a [U, k] @p table by a u16 @p idx list ([n]) into a
- * dense [n, k] map, coalescing consecutive source rows into batched
- * memcpy calls.
- */
-Tensor gatherTableRows(const Tensor &table, const Tensor &idx);
-
-/**
  * Fused distance+argmin against ascending-sorted @p centroids for every
  * element of @p values, written to @p out (size n). Bit-compatible with
  * per-element binary-search `nearestCentroid`, vectorized and

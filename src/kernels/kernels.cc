@@ -1,9 +1,7 @@
 #include "kernels/kernels.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "kernels/kernels_impl.h"
@@ -21,11 +19,6 @@ const KernelTable &avx512KernelTable(); // defined in kernels_avx512.cc
 #if defined(EDKM_HAVE_NEON)
 const KernelTable &neonKernelTable(); // defined in kernels_neon.cc
 #endif
-
-// Always linked (kernels_fastmath.cc compiles to nullptr stubs when the
-// variant is configured out).
-PaletteDotFn fastMathPaletteDotImpl();
-const char *fastMathVariantNameImpl();
 
 namespace {
 
@@ -233,74 +226,6 @@ availableBackends()
         out.push_back(Backend::kNeon);
     }
     return out;
-}
-
-// ----------------------------------------------------------------------
-// Fast-math opt-in state.
-// ----------------------------------------------------------------------
-
-namespace {
-
-bool
-envFastMathOptIn()
-{
-    const char *env = std::getenv("EDKM_FAST_MATH");
-    if (env == nullptr) {
-        return false;
-    }
-    std::string v = lowered(env);
-    return v == "1" || v == "on" || v == "true" || v == "yes";
-}
-
-std::atomic<bool> &
-fastMathFlag()
-{
-    static std::atomic<bool> f{envFastMathOptIn()};
-    return f;
-}
-
-} // namespace
-
-PaletteDotFn
-fastMathPaletteDot()
-{
-    return fastMathPaletteDotImpl();
-}
-
-const char *
-fastMathVariantName()
-{
-    return fastMathVariantNameImpl();
-}
-
-bool
-fastMathEnabled()
-{
-    return fastMathFlag().load(std::memory_order_relaxed);
-}
-
-void
-setFastMath(bool on)
-{
-    fastMathFlag().store(on, std::memory_order_relaxed);
-}
-
-void
-gatherRowsU16(const float *table, int64_t k, const uint16_t *idx,
-              int64_t n, float *out)
-{
-    // Coalesce runs of consecutive source rows into one memcpy: unique
-    // index lists from uniquify frequently visit neighbouring buckets.
-    int64_t i = 0;
-    while (i < n) {
-        int64_t run = 1;
-        while (i + run < n && idx[i + run] == idx[i + run - 1] + 1) {
-            ++run;
-        }
-        std::memcpy(out + i * k, table + static_cast<int64_t>(idx[i]) * k,
-                    static_cast<size_t>(run * k) * sizeof(float));
-        i += run;
-    }
 }
 
 void

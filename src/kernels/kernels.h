@@ -195,38 +195,8 @@ const KernelTable &table(Backend b);
 std::vector<Backend> availableBackends();
 
 // ----------------------------------------------------------------------
-// Opt-in fast-math palette decode (EDKM_FAST_MATH).
-// ----------------------------------------------------------------------
-
-/**
- * The relaxed palette-decode variant: FMA plus reassociated partial
- * accumulators, deliberately NOT bit-identical to the contract path.
- * Returns nullptr when compiled out (-DEDKM_FAST_MATH=OFF) or when the
- * CPU lacks the ISA it was built for. It is never part of any
- * KernelTable — callers (core/palettize.cc) reach it only when
- * fastMathEnabled() says the process explicitly opted in.
- */
-PaletteDotFn fastMathPaletteDot();
-
-/** Variant name for bench rows ("avx2-fma", "portable-fma"); nullptr
- *  when fastMathPaletteDot() is. */
-const char *fastMathVariantName();
-
-/** Whether the process opted into the fast-math variant: EDKM_FAST_MATH
- *  =1|on|true|yes in the environment at startup, or setFastMath(true).
- *  Default off — the bit-identity contract holds unless a human asked
- *  to trade it away. */
-bool fastMathEnabled();
-void setFastMath(bool on);
-
-// ----------------------------------------------------------------------
 // Layout helpers with no per-backend variance.
 // ----------------------------------------------------------------------
-
-/** Gather rows: out[i,:] = table[idx[i],:] (row length k), coalescing
- *  runs of consecutive source rows into single memcpy calls. */
-void gatherRowsU16(const float *table, int64_t k, const uint16_t *idx,
-                   int64_t n, float *out);
 
 /** Gather scalars: out[i] = src[idx[i]]. */
 void gatherU16(const float *src, const uint16_t *idx, int64_t n,

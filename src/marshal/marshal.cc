@@ -18,8 +18,9 @@ namespace edkm {
  * with the autograd graph (matching PyTorch packed-object lifetime).
  *
  * With asyncOffload the copy job may still be in flight: `ready` joins
- * it. The job holds a shared_ptr to the entry, so destruction never
- * races the copy.
+ * it. The job holds a shared_ptr to the entry while it runs, so
+ * destruction never races the copy, and releases it before `ready`
+ * settles, so a joined entry's use count counts only its real holders.
  */
 struct MarshalContext::CpuEntry
 {
@@ -40,9 +41,6 @@ struct MarshalContext::CpuEntry
 
     ~CpuEntry()
     {
-        if (ready.valid()) {
-            ready.wait(); // never destruct under a live copy job
-        }
         if (residentBytes) {
             residentBytes->fetch_sub(cpuTensor.storageBytes(),
                                      std::memory_order_relaxed);
@@ -142,8 +140,12 @@ MarshalContext::dispatchCopy(const std::shared_ptr<CpuEntry> &entry,
     // unpack (per entry) or sync (all).
     std::shared_ptr<runtime::ThreadPool> pool =
         runtime::Runtime::instance().pool();
-    entry->ready =
-        pool->submit([entry, job = std::move(copy)] { job(); }).share();
+    entry->ready = pool->submit([job = std::move(copy)]() mutable {
+                           job();
+                           // Drop the captures (the entry among them)
+                           // before the future settles.
+                           job = nullptr;
+                       }).share();
     // Drop already-finished futures so pending_ tracks in-flight work
     // instead of the context's whole copy history; failures of pruned
     // copies are parked for the next sync() to rethrow.
@@ -269,11 +271,13 @@ MarshalContext::offloadAsync(const Tensor &t)
             if (it != eager_registry_.end() && it->second == cand) {
                 eager_registry_.erase(it);
             }
-            bool settled =
-                !cand->ready.valid() ||
-                cand->ready.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-            if (settled && cand.use_count() == 1 &&
+            // The copy from two offloads ago must settle before its
+            // slot is reused, so the reuse decision depends only on the
+            // call sequence, never on copy timing.
+            if (cand->ready.valid()) {
+                cand->ready.wait();
+            }
+            if (cand.use_count() == 1 &&
                 cand->cpuTensor.defined() &&
                 cand->cpuTensor.storageBytes() == t.storageBytes() &&
                 cand->cpuTensor.storagePtr().use_count() == 1) {

@@ -16,6 +16,7 @@
 #include "device/device_manager.h"
 #include "marshal/marshal.h"
 #include "tensor/ops.h"
+#include "util/checksum.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -264,6 +265,72 @@ TEST_F(EdkmEquivalence, PalettizeAfterTraining)
     EXPECT_EQ(p.bits(), 3);
     // Hard assignment error is bounded on clusterable data.
     EXPECT_LT(maxAbsDiff(p.decompress(), w.view({600})), 0.05f);
+}
+
+/**
+ * Golden gradients of the paper-mode (kReconstruct) backward. The hashes
+ * pin every bit of the gradient, so any change to the backward's
+ * arithmetic, evaluation order or chunking shows up here. maxIters 4
+ * with convergenceEps 0 runs three bucket-invariant iterations before
+ * the last one; n = 4096 splits the row reductions into several chunks
+ * at every bit width.
+ */
+TEST(EdkmGolden, ReconstructGradientBitsPinned)
+{
+    DeviceManager::instance().resetAll();
+    const int64_t n = 4096;
+    Tensor w = bf16Weights(n, 91);
+    Rng r(17);
+    Tensor upstream = Tensor::randn({n}, r);
+
+    struct Case
+    {
+        bool uniquify;
+        bool shard;
+        int bits;
+        uint64_t hash;
+    };
+    // Captured from the per-member backward that rebuilt dense [n,k]
+    // attention maps; sharding regenerates the same values, so each
+    // shard-on hash equals its shard-off twin.
+    const Case cases[] = {
+        {true, false, 1, 0x6144e5932a89289full},
+        {true, false, 2, 0xa74facadd028a699ull},
+        {true, false, 3, 0x5fb7f261c99156c6ull},
+        {true, false, 4, 0x096e81a244923acdull},
+        {true, true, 1, 0x6144e5932a89289full},
+        {true, true, 2, 0xa74facadd028a699ull},
+        {true, true, 3, 0x5fb7f261c99156c6ull},
+        {true, true, 4, 0x096e81a244923acdull},
+        {false, false, 1, 0xcc31e36569a5f59dull},
+        {false, false, 2, 0x1bd053375fb826a2ull},
+        {false, false, 3, 0x5a4c053e62466c34ull},
+        {false, false, 4, 0x69122f09e8be2d95ull},
+        {false, true, 1, 0xcc31e36569a5f59dull},
+        {false, true, 2, 0x1bd053375fb826a2ull},
+        {false, true, 3, 0x5a4c053e62466c34ull},
+        {false, true, 4, 0x69122f09e8be2d95ull},
+    };
+    for (const Case &c : cases) {
+        EdkmConfig cfg;
+        cfg.dkm = sharedCfg();
+        cfg.dkm.bits = c.bits;
+        cfg.uniquify = c.uniquify;
+        cfg.shard = c.shard;
+        cfg.rank = c.shard ? 1 : 0;
+        cfg.backwardMode = EdkmConfig::BackwardMode::kReconstruct;
+        auto group = std::make_shared<LearnerGroup>(4);
+        EdkmLayer layer(cfg, c.shard ? group : nullptr);
+        RunResult res = run(layer, w, upstream);
+        ASSERT_EQ(layer.report().iterations, 4);
+        Tensor g = res.grad.contiguous();
+        uint64_t h = checksum64(g.rawData<const float>(),
+                                static_cast<size_t>(g.numel()) *
+                                    sizeof(float));
+        EXPECT_EQ(h, c.hash)
+            << "uniquify=" << c.uniquify << " shard=" << c.shard
+            << " bits=" << c.bits << " hash=0x" << std::hex << h;
+    }
 }
 
 /** Parameterized sweep: equivalence holds across bit widths. */

@@ -408,37 +408,6 @@ TEST(NearestKernel, MatchesBinarySearchReference)
 }
 
 // ---------------------------------------------------------------------
-// Gather batching.
-// ---------------------------------------------------------------------
-
-TEST(GatherKernel, MatchesNaiveRowCopyIncludingRuns)
-{
-    Rng rng(17);
-    int64_t U = 300, k = 16, n = 2000;
-    Tensor tab = Tensor::randn({U, k}, rng);
-    std::vector<float> tv = tab.toVector();
-    Tensor idx = Tensor::empty({n}, DType::kU16);
-    uint16_t *pi = idx.rawData<uint16_t>();
-    for (int64_t i = 0; i < n; ++i) {
-        // Long consecutive runs + random jumps: exercises memcpy
-        // batching across run boundaries.
-        pi[i] = (i % 3 == 0)
-                    ? static_cast<uint16_t>(rng.uniform(0.0f, 1.0f) *
-                                            (U - 1))
-                    : static_cast<uint16_t>((pi[i - 1] + 1) % U);
-    }
-    Tensor out = kernels::gatherTableRows(tab, idx);
-    ASSERT_EQ(out.shape(), (Shape{n, k}));
-    for (int64_t i = 0; i < n; ++i) {
-        for (int64_t j = 0; j < k; ++j) {
-            ASSERT_EQ(out.at({i, j}),
-                      tv[static_cast<size_t>(pi[i] * k + j)])
-                << i << "," << j;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Determinism: fused kernels are bit-identical across thread counts,
 // and the DKM inference fast path reproduces the autograd path.
 // ---------------------------------------------------------------------

@@ -463,8 +463,10 @@ TEST_F(MarshalTest, DoubleBufferAsyncMatchesSync)
         }
         ctx.sync();
         EXPECT_EQ(ctx.stats().copies, 4) << "async=" << async;
-        EXPECT_GE(ctx.stats().bufferReuses, async ? 1 : 2)
-            << "async=" << async;
+        // Offloads 3 and 4 each recycle the snapshot from two calls
+        // earlier; the async leg waits on that copy, so it reuses the
+        // same number of buffers as the sync leg.
+        EXPECT_EQ(ctx.stats().bufferReuses, 2) << "async=" << async;
         // The newest snapshot still dedups a save of its tensor.
         Variable v(last, true);
         Variable loss;

@@ -271,32 +271,38 @@ TEST_F(RuntimeDeterminism, DkmIdenticalSerialVs8Threads)
 TEST_F(RuntimeDeterminism, EdkmIdenticalSerialVs8ThreadsAllModes)
 {
     for (bool uniq : {true, false}) {
-        for (auto mode : {EdkmConfig::BackwardMode::kReconstruct,
-                          EdkmConfig::BackwardMode::kFused}) {
-            EdkmConfig cfg;
-            cfg.dkm.bits = 3;
-            cfg.dkm.maxIters = 3;
-            cfg.dkm.temperature = 2e-4f;
-            cfg.uniquify = uniq;
-            cfg.backwardMode = mode;
-            auto run_once = [&] {
-                EdkmLayer layer(cfg);
-                Variable wv(w.clone(), true);
-                Variable out = layer.forward(wv);
-                Variable loss =
-                    af::sumAll(af::mul(out, af::constant(upstream)));
-                backward(loss);
-                return std::make_pair(out.data(), wv.grad());
-            };
-            Tensor serial_out, serial_grad;
-            {
-                runtime::SerialGuard guard;
-                std::tie(serial_out, serial_grad) = run_once();
+        for (bool shard : {false, true}) {
+            for (auto mode : {EdkmConfig::BackwardMode::kReconstruct,
+                              EdkmConfig::BackwardMode::kFused}) {
+                EdkmConfig cfg;
+                cfg.dkm.bits = 3;
+                cfg.dkm.maxIters = 3;
+                cfg.dkm.temperature = 2e-4f;
+                cfg.uniquify = uniq;
+                cfg.shard = shard;
+                cfg.rank = shard ? 1 : 0;
+                cfg.backwardMode = mode;
+                auto run_once = [&] {
+                    auto group = shard ? std::make_shared<LearnerGroup>(4)
+                                       : nullptr;
+                    EdkmLayer layer(cfg, group);
+                    Variable wv(w.clone(), true);
+                    Variable out = layer.forward(wv);
+                    Variable loss = af::sumAll(
+                        af::mul(out, af::constant(upstream)));
+                    backward(loss);
+                    return std::make_pair(out.data(), wv.grad());
+                };
+                Tensor serial_out, serial_grad;
+                {
+                    runtime::SerialGuard guard;
+                    std::tie(serial_out, serial_grad) = run_once();
+                }
+                ThreadCountScope scope(8);
+                auto [par_out, par_grad] = run_once();
+                expectBitIdentical(serial_out, par_out);
+                expectBitIdentical(serial_grad, par_grad);
             }
-            ThreadCountScope scope(8);
-            auto [par_out, par_grad] = run_once();
-            expectBitIdentical(serial_out, par_out);
-            expectBitIdentical(serial_grad, par_grad);
         }
     }
 }
