@@ -2,8 +2,10 @@
  * @file
  * Kernel-layer micro-bench: single-thread throughput of the fused
  * attention-table kernel against the composed op chain it replaced
- * (sub -> square -> mulScalar -> softmaxLastDim), and of the vector
- * elementwise kernels against the scalar reference backend. Also
+ * (sub -> square -> mulScalar -> softmaxLastDim), of the vector
+ * elementwise kernels against the scalar reference backend, and of the
+ * attention-table kernel at k = 8 and 16 against the scalar backend
+ * (exit code gated on SIMD being no slower at either k). Also
  * re-asserts the determinism contract end-to-end: eDKM clustering
  * forward+backward is bit-identical at 1 and 8 threads.
  *
@@ -163,6 +165,55 @@ main(int argc, char **argv)
               << "  exp: " << exp_scalar_ms << " -> " << exp_simd_ms
               << " ms (" << exp_scalar_ms / exp_simd_ms << "x)\n";
 
+    // ---- attention table rows at the paper's small k: the active
+    // backend's row-lane kernel against the scalar reference (raw
+    // kernel, single thread). Gate: SIMD is no slower than scalar at
+    // each k; with the scalar backend active both rows time the same
+    // kernel, so the gate only applies to a SIMD backend. ----
+    struct AttentionRow
+    {
+        int64_t k;
+        double scalar_ms;
+        double simd_ms;
+    };
+    std::vector<AttentionRow> attention_rows;
+    bool attention_simd_ok = true;
+    {
+        const float *pu = u.rawData<const float>();
+        std::vector<float> ao(static_cast<size_t>(n * 16));
+        for (int64_t ak : {8, 16}) {
+            Rng crng(11 + static_cast<uint64_t>(ak));
+            std::vector<float> ac(static_cast<size_t>(ak));
+            for (float &cv : ac) {
+                cv = crng.normal(0.0f, 0.02f);
+            }
+            auto timed = [&](const kernels::KernelTable &kt) {
+                return timeMs(reps, [&] {
+                    kt.attentionRows(pu, n, ac.data(), ak, -1.0f / tau,
+                                     ao.data());
+                    volatile float sink = ao[0];
+                    (void)sink;
+                });
+            };
+            AttentionRow row{ak, timed(scalar_t), timed(active_t)};
+            attention_rows.push_back(row);
+            if (active_t.backend != kernels::Backend::kScalar &&
+                row.simd_ms > row.scalar_ms) {
+                attention_simd_ok = false;
+            }
+        }
+    }
+    std::cout << "attention table rows n=" << n << ", "
+              << kernels::backendName(active_t.backend)
+              << " vs scalar backend\n";
+    for (const AttentionRow &row : attention_rows) {
+        std::cout << "  k=" << row.k << ": " << row.scalar_ms << " -> "
+                  << row.simd_ms << " ms ("
+                  << row.scalar_ms / row.simd_ms << "x)\n";
+    }
+    std::cout << "  attention[simd] <= attention[scalar] at every k: "
+              << (attention_simd_ok ? "yes" : "NO") << "\n";
+
     // ---- fused palettized decode: per-backend rows keyed by dispatch
     // name and the staged-vs-fused tensor path. The staged/fused
     // comparison doubles as the bit-identity gate for the exit code. ----
@@ -274,6 +325,17 @@ main(int argc, char **argv)
          << "  \"exp_simd_ms\": " << exp_simd_ms << ",\n"
          << "  \"exp_simd_speedup\": " << exp_scalar_ms / exp_simd_ms
          << ",\n"
+         << "  \"attention_rows\": [\n";
+    for (size_t i = 0; i < attention_rows.size(); ++i) {
+        const AttentionRow &row = attention_rows[i];
+        json << "    {\"k\": " << row.k << ", \"scalar_ms\": "
+             << row.scalar_ms << ", \"simd_ms\": " << row.simd_ms
+             << "}" << (i + 1 < attention_rows.size() ? "," : "")
+             << "\n";
+    }
+    json << "  ],\n"
+         << "  \"attention_simd_ok\": "
+         << (attention_simd_ok ? "true" : "false") << ",\n"
          << "  \"edkm_1v8_threads_bit_identical\": "
          << (identical ? "true" : "false") << ",\n"
          << "  \"palette_decode\": {\n"
@@ -295,5 +357,5 @@ main(int argc, char **argv)
          << (palette_identical ? "true" : "false") << "\n"
          << "  }\n}\n";
     std::cout << "wrote BENCH_kernels.json\n";
-    return identical && palette_identical ? 0 : 1;
+    return identical && palette_identical && attention_simd_ok ? 0 : 1;
 }

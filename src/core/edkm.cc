@@ -21,6 +21,9 @@ using runtime::grainFor;
 using runtime::parallelFor;
 using runtime::parallelReduce;
 
+/** Members per paperRows call in the per-member passes. */
+constexpr int64_t kMemberBlock = 256;
+
 /** Combine chunk-local double accumulators elementwise (chunk order). */
 std::vector<double>
 combineVec(std::vector<double> a, std::vector<double> b)
@@ -114,48 +117,6 @@ scatterAddByIdx(const Tensor &g, const Tensor &idx, int64_t u_count)
     chargeFlops(static_cast<double>(n), g.device());
     return out;
 }
-
-/**
- * Paper-mode (kReconstruct) backward arithmetic of one attention row:
- * the nv/m gradient into the row's gA, then the softmax backward and the
- * squared-distance path. @p grow is the row's gA ([k]), seeded by the
- * caller and updated in place; each centroid's gc term goes to
- * sink(j, term); the return value is the row's gw term. Every pass of
- * denseBackward evaluates rows through this one function, so the
- * per-member and per-bucket passes produce the same bits.
- */
-struct PaperRowMath
-{
-    int64_t k;
-    float inv_tau;
-    const float *gn; ///< [k] gradient w.r.t. nv
-    const float *gm; ///< [k] gradient w.r.t. m
-    const float *c_in; ///< [k] centroids the table was built from
-
-    template <typename Sink>
-    double
-    operator()(float wi, const float *arow, float *grow,
-               Sink &&sink) const
-    {
-        // gA += gn w_i + gm ; direct gw from nv.
-        double dot = 0.0;
-        double gw_acc = 0.0;
-        for (int64_t j = 0; j < k; ++j) {
-            grow[j] += gn[j] * wi + gm[j];
-            gw_acc += static_cast<double>(arow[j]) * gn[j];
-            dot += static_cast<double>(grow[j]) * arow[j];
-        }
-        // softmax backward + distance path.
-        for (int64_t j = 0; j < k; ++j) {
-            float gs = arow[j] * (grow[j] - static_cast<float>(dot));
-            float gdsq = -gs * inv_tau;
-            float d = wi - c_in[j];
-            gw_acc += static_cast<double>(gdsq) * 2.0 * d;
-            sink(j, static_cast<double>(gdsq) * (-2.0) * d);
-        }
-        return gw_acc;
-    }
-};
 
 /**
  * The whole unrolled DKM loop as one autograd node. Forward runs in
@@ -288,6 +249,7 @@ EdkmClusterNode::denseBackward(const Tensor &g)
     Tensor gw = Tensor::zeros({n}, DType::kF32, g.device());
     float *pgw = gw.rawData<float>();
     const float *pg = g.rawData<const float>();
+    const kernels::KernelTable &kt = kernels::active();
 
     // Final step: W~ = A_last * c_final.
     std::vector<float> c_final = t.cFinal.toVector();
@@ -338,36 +300,43 @@ EdkmClusterNode::denseBackward(const Tensor &g)
                 -static_cast<float>(gc[static_cast<size_t>(j)]) *
                 nv[static_cast<size_t>(j)] / (mj * mj);
         }
-        const PaperRowMath row_math{k, 1.0f / t.tau, gn.data(),
-                                    gm.data(), c_in.data()};
-
         Tensor table = last ? table_last : table_of(iter);
-        const float *pt = table.rawData<const float>();
+        kernels::PaperRowArgs args{};
+        args.k = k;
+        args.invTau = 1.0f / t.tau;
+        args.gn = gn.data();
+        args.gm = gm.data();
+        args.cIn = c_in.data();
+        args.table = table.rawData<const float>();
+        args.vals = pv;
 
         if (last || !bucketed) {
             // Per-member pass, gA seeded with the member's own final-step
             // term (last iteration) or 0; gc for the next (earlier)
             // iteration accumulates per chunk (rows i are disjoint).
+            args.idx = pidx;
+            if (last) {
+                args.g = pg;
+                args.cFinal = c_final.data();
+            }
             gc = parallelReduce<std::vector<double>>(
                 0, n, row_grain,
                 std::vector<double>(static_cast<size_t>(k), 0.0),
                 [&](int64_t cb, int64_t ce) {
                     std::vector<double> part(static_cast<size_t>(k), 0.0);
-                    std::vector<float> grow(static_cast<size_t>(k));
-                    for (int64_t i = cb; i < ce; ++i) {
-                        int64_t r = row_of(i);
-                        for (int64_t j = 0; j < k; ++j) {
-                            grow[static_cast<size_t>(j)] =
-                                last ? pg[i] *
-                                           c_final[static_cast<size_t>(j)]
-                                     : 0.0f;
-                        }
-                        double gw_acc = row_math(
-                            pv[r], pt + r * k, grow.data(),
-                            [&](int64_t j, double term) {
-                                part[static_cast<size_t>(j)] += term;
-                            });
-                        pgw[i] += static_cast<float>(gw_acc);
+                    // Row blocks: the terms come back in row order and
+                    // are summed in row order.
+                    int64_t block = std::min(kMemberBlock, ce - cb);
+                    std::vector<double> terms(
+                        static_cast<size_t>(block * k));
+                    std::vector<float> gwr(static_cast<size_t>(block));
+                    for (int64_t b = cb; b < ce; b += block) {
+                        int64_t nb = std::min(block, ce - b);
+                        kt.paperRows(args, b, nb, terms.data(),
+                                     gwr.data());
+                        kt.gatherAddRows(terms.data(), gwr.data(), k,
+                                         nullptr, nb, part.data(),
+                                         pgw + b);
                     }
                     return part;
                 },
@@ -379,15 +348,7 @@ EdkmClusterNode::denseBackward(const Tensor &g)
         double *pcontrib = contrib_t.rawData<double>();
         float *pgwb = gwb_t.rawData<float>();
         parallelFor(0, U, grainFor(U, 8 * k), [&](int64_t cb, int64_t ce) {
-            std::vector<float> grow(static_cast<size_t>(k));
-            for (int64_t r = cb; r < ce; ++r) {
-                std::fill(grow.begin(), grow.end(), 0.0f);
-                double *crow = pcontrib + r * k;
-                double gw_acc = row_math(
-                    pv[r], pt + r * k, grow.data(),
-                    [crow](int64_t j, double term) { crow[j] = term; });
-                pgwb[r] = static_cast<float>(gw_acc);
-            }
+            kt.paperRows(args, cb, ce - cb, pcontrib + cb * k, pgwb + cb);
         });
         // Member pass: gather-add the bucket results in member order.
         gc = parallelReduce<std::vector<double>>(
@@ -395,14 +356,8 @@ EdkmClusterNode::denseBackward(const Tensor &g)
             std::vector<double>(static_cast<size_t>(k), 0.0),
             [&](int64_t cb, int64_t ce) {
                 std::vector<double> part(static_cast<size_t>(k), 0.0);
-                for (int64_t i = cb; i < ce; ++i) {
-                    uint16_t r = pidx[i];
-                    const double *crow = pcontrib + r * k;
-                    for (int64_t j = 0; j < k; ++j) {
-                        part[static_cast<size_t>(j)] += crow[j];
-                    }
-                    pgw[i] += pgwb[r];
-                }
+                kt.gatherAddRows(pcontrib, pgwb, k, pidx + cb, ce - cb,
+                                 part.data(), pgw + cb);
                 return part;
             },
             combineVec);

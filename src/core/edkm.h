@@ -26,10 +26,14 @@
  *    Every iteration but the last is bucket-invariant (a member's result
  *    depends only on its unique value), so those are evaluated once per
  *    unique value and gathered back in member order; no |W| x |C| map
- *    is materialised. kFused (our extension) also evaluates the last
- *    iteration in table space, with reassociated sums: its gradients
- *    match kReconstruct's to float tolerance, not bit for bit (see
- *    tests/test_edkm.cc).
+ *    is materialised. The row arithmetic runs in the kernel layer's
+ *    row-lane kernels (kernels::KernelTable::paperRows and
+ *    gatherAddRows, see docs/kernels.md): each vector lane replays one
+ *    row's scalar sequence, so every backend gives the same bits as
+ *    the scalar per-row code. kFused (our extension) also evaluates
+ *    the last iteration in table space, with reassociated sums: its
+ *    gradients match kReconstruct's to float tolerance, not bit for
+ *    bit (see tests/test_edkm.cc).
  *
  * Saved tensors flow through SavedTensor, hence through any installed
  * marshaling context (section 2.1) — benches install MarshalContext to

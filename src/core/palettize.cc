@@ -284,8 +284,6 @@ viewOf(const PalettizedTensor &p)
 
 namespace {
 
-std::atomic<int64_t> g_fused_calls{0};
-
 /** Startup default for the fused m==1 decode: on unless the escape
  *  hatch EDKM_FUSED_DECODE=off|0|false|staged is set. */
 bool
@@ -324,12 +322,6 @@ paletteFusedDecodeEnabled()
     return fusedDecodeFlag().load(std::memory_order_relaxed);
 }
 
-int64_t
-paletteFusedCalls()
-{
-    return g_fused_calls.load(std::memory_order_relaxed);
-}
-
 Tensor
 paletteMatmulTStaged(const Tensor &x, const PaletteView &w)
 {
@@ -359,7 +351,7 @@ paletteMatmulTStaged(const Tensor &x, const PaletteView &w)
 }
 
 Tensor
-paletteMatmulT(const Tensor &x, const PaletteView &w)
+paletteMatmulT(const Tensor &x, const PaletteView &w, bool *fused)
 {
     EDKM_CHECK(w.shape.size() == 2,
                "paletteMatmulT: weight must be 2-d, got rank ",
@@ -373,10 +365,14 @@ paletteMatmulT(const Tensor &x, const PaletteView &w)
     // The fused kernel covers the m==1 decode with >1 output column
     // (out == 1 takes matmulStreamed's fixed-lane matvec path, whose
     // accumulation order the fused column chain does not replay).
-    if (xc.size(0) != 1 || out == 1 || !paletteFusedDecodeEnabled()) {
+    bool use_fused =
+        xc.size(0) == 1 && out != 1 && paletteFusedDecodeEnabled();
+    if (fused != nullptr) {
+        *fused = use_fused;
+    }
+    if (!use_fused) {
         return paletteMatmulTStaged(xc, w);
     }
-    g_fused_calls.fetch_add(1, std::memory_order_relaxed);
     kernels::PaletteDotFn fn = kernels::active().paletteDotFused;
     Tensor outT = Tensor::empty({1, out}, DType::kF32, xc.device());
     const float *px = xc.rawData<float>();

@@ -138,8 +138,12 @@ PaletteView viewOf(const PalettizedTensor &p);
  *   - everything else (prefill, batched decode, single-output), or
  *     when the fused path is disabled: the staged path — index tiles
  *     decoded through gatherU16 and streamed through matmulStreamed.
+ * When @p fused is given, it is set to whether this call took the
+ * fused path (per-caller stats such as serve::EngineStats, which a
+ * process-wide counter would mix up between concurrent engines).
  */
-Tensor paletteMatmulT(const Tensor &x, const PaletteView &w);
+Tensor paletteMatmulT(const Tensor &x, const PaletteView &w,
+                      bool *fused = nullptr);
 
 /** The always-staged reference path (decode tiles, then accumulate);
  *  what paletteMatmulT uses outside the fused m==1 case. Exposed so
@@ -152,11 +156,6 @@ Tensor paletteMatmulTStaged(const Tensor &x, const PaletteView &w);
  *  hatch, never a numerics knob. */
 void setPaletteFusedDecode(bool on);
 bool paletteFusedDecodeEnabled();
-
-/** Process-wide count of decodes served by the fused kernel (bench and
- *  stats observability; serve::EngineStats::fusedDecodes is derived
- *  from deltas of this). */
-int64_t paletteFusedCalls();
 
 /**
  * Embedding lookup from a palettized [vocab, dim] table: out[i, :] is

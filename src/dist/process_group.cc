@@ -50,13 +50,13 @@ writeAll(int fd, const uint8_t *data, size_t len)
 std::vector<uint8_t>
 frame(uint8_t tag, const uint8_t *payload, size_t len)
 {
-    std::vector<uint8_t> out;
-    out.reserve(9 + len);
-    out.push_back(tag);
+    std::vector<uint8_t> out(9 + len);
+    out[0] = tag;
     uint64_t n = len;
-    const uint8_t *pn = reinterpret_cast<const uint8_t *>(&n);
-    out.insert(out.end(), pn, pn + 8);
-    out.insert(out.end(), payload, payload + len);
+    std::memcpy(out.data() + 1, &n, 8);
+    if (len > 0) {
+        std::memcpy(out.data() + 9, payload, len);
+    }
     return out;
 }
 

@@ -30,8 +30,9 @@ scalarKernelTable()
     return t;
 }
 
-/** True when the running CPU can execute @p b (build support aside). */
-bool
+/** True when the running CPU can execute @p b (build support aside).
+ *  Unused in a build without SIMD backends (-DEDKM_SIMD=OFF). */
+[[maybe_unused]] bool
 cpuSupports(Backend b)
 {
     switch (b) {

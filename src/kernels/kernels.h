@@ -107,6 +107,25 @@ using PaletteDotFn = void (*)(const float *x, int64_t k,
                               int64_t cols, float *out);
 
 /**
+ * One iteration of the paper-mode (kReconstruct) eDKM backward, as read
+ * by `KernelTable::paperRows`. Row i of a block is member or unique
+ * value i; its table row is row(i) = idx ? idx[i] : i.
+ */
+struct PaperRowArgs
+{
+    int64_t k;
+    float invTau;            ///< 1 / tau
+    const float *gn;         ///< [k] gradient w.r.t. the pooled nv
+    const float *gm;         ///< [k] gradient w.r.t. the pooled mass m
+    const float *cIn;        ///< [k] centroids the table was built from
+    const float *table;      ///< attention rows, k floats each
+    const float *vals;       ///< value of each table row
+    const uint16_t *idx;     ///< row i -> table row, or null (identity)
+    const float *g;          ///< row i's gA seed is g[i] cFinal, or null: 0
+    const float *cFinal;     ///< [k] final centroids (read only with g)
+};
+
+/**
  * One backend's kernels. All pointers are non-null; buffers must be
  * valid for the stated lengths, and in/out may alias only when noted.
  */
@@ -154,12 +173,33 @@ struct KernelTable
     void (*softmaxRows)(const float *a, int64_t rows, int64_t k,
                         float *o);
     /** Fused attention table: o[r,j] = softmax_j((u[r]-c[j])^2 * nis)
-     *  with nis = -1/tau. One pass, no intermediates. */
+     *  with nis = -1/tau, each row exactly as softmaxRows would do it.
+     *  Row-lane: vector lanes hold rows, so small k vectorizes. */
     void (*attentionRows)(const float *u, int64_t rows, const float *c,
                           int64_t k, float neg_inv_tau, float *o);
     /** o[r,j] = |u[r] - c[j]| (the cdist1d forward). */
     void (*absDiffRows)(const float *u, int64_t rows, const float *c,
                         int64_t k, float *o);
+
+    /**
+     * Paper-mode backward of rows [i0, i0+rows): for row i with value
+     * w = vals[row(i)] and attention row a = table[row(i)*k ..],
+     *   gA_j = seed_j + (gn_j w + gm_j),  seed_j = g[i] cFinal_j or 0,
+     *   dot  = sum_j double(gA_j) a_j,    gs_j = a_j (gA_j - float(dot)),
+     *   gdsq_j = -gs_j invTau,            d_j = w - cIn_j,
+     * writes terms[(i-i0)*k + j] = double(gdsq_j) * -2 * d_j (the gc
+     * term) and gw[i-i0] = float(acc), where the f64 acc sums the k
+     * terms double(a_j) gn_j, then the k terms double(gdsq_j) * 2 * d_j.
+     * Every f64 sum runs in ascending j; lanes hold rows (see
+     * docs/kernels.md, "Row-lane kernels for small k").
+     */
+    void (*paperRows)(const PaperRowArgs &a, int64_t i0, int64_t rows,
+                      double *terms, float *gw);
+    /** For i in [0, n) ascending, with r = idx ? idx[i] : i:
+     *  part[j] += terms[r*k + j] for every j, and gw[i] += gwRow[r]. */
+    void (*gatherAddRows)(const double *terms, const float *gwRow,
+                          int64_t k, const uint16_t *idx, int64_t n,
+                          double *part, float *gw);
 
     // ---- fused palettized decode (the m==1 serving hot path) ----
     /** Walk packed indices -> LUT gathers -> multiply-accumulate, no

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "kernels/kernels.h"
 #include "kernels/simd.h"
@@ -339,27 +340,202 @@ softmaxRowsT(const float *a, int64_t rows, int64_t k, float *o)
     }
 }
 
+// ----------------------------------------------------------------------
+// Row-lane kernels. Lane l of every vector holds one row and replays
+// that row's scalar IEEE sequence, so the hardware width changes how
+// many rows advance together, never the arithmetic inside a row. Small
+// k (the clustering tables have 2..256 centroids) cannot fill a vector
+// across centroids; rows can. Per-row intermediates live in a
+// transposed scratch block, element j of lane l at [j * kWidth + l].
+// The ScalarTag instantiation (one row per step, whose transposed block
+// is just the row) is the reference and runs the tail rows.
+// ----------------------------------------------------------------------
+
+/** Store lane l of @p v to p[l * stride]. */
+template <typename W, typename T>
+inline void
+storeLanes(W v, T *p, int64_t stride)
+{
+    T t[W::kWidth];
+    v.store(t);
+    for (int l = 0; l < W::kWidth; ++l) {
+        p[l * stride] = t[l];
+    }
+}
+
+/** reduceMaxT's max order (kAccLanes slots, slot fold, then the tail)
+ *  run in every lane over the k elements of a transposed block. */
+template <typename V>
+inline V
+rowMaxT(const float *blk, int64_t k)
+{
+    constexpr int W = V::kWidth;
+    if (k < kAccLanes) {
+        V m = V::load(blk);
+        for (int64_t j = 1; j < k; ++j) {
+            m = V::max(m, V::load(blk + j * W));
+        }
+        return m;
+    }
+    V acc[kAccLanes];
+    for (int l = 0; l < kAccLanes; ++l) {
+        acc[l] = V::load(blk + l * W);
+    }
+    int64_t main_n = (k / kAccLanes) * kAccLanes;
+    for (int64_t j = kAccLanes; j < main_n; ++j) {
+        acc[j % kAccLanes] =
+            V::max(acc[j % kAccLanes], V::load(blk + j * W));
+    }
+    V m = acc[0];
+    for (int l = 1; l < kAccLanes; ++l) {
+        m = V::max(m, acc[l]);
+    }
+    for (int64_t j = main_n; j < k; ++j) {
+        m = V::max(m, V::load(blk + j * W));
+    }
+    return m;
+}
+
+/** Row-lane attention table: per row the scores (u - c_j)^2 * nis, the
+ *  reduceMaxT max, expPs, the ascending-j f64 denominator, then
+ *  float(1.0 / denom) scaling — softmaxOneRowT's sequence exactly. */
 template <typename Tag>
 inline void
 attentionRowsT(const float *u, int64_t rows, const float *c, int64_t k,
                float neg_inv_tau, float *o)
 {
     using V = Vec<Tag>;
-    using S = Vec<ScalarTag>;
+    using D = VecD<Tag>;
+    constexpr int W = V::kWidth;
+    if (k <= 0) {
+        return;
+    }
+    std::vector<float> scratch(W > 1 ? static_cast<size_t>(k * W) : 0);
     const V nis = V::broadcast(neg_inv_tau);
-    for (int64_t r = 0; r < rows; ++r) {
+    int64_t r = 0;
+    for (; r + W <= rows; r += W) {
         float *orow = o + r * k;
-        const V uv = V::broadcast(u[r]);
-        int64_t j = 0;
-        for (; j + V::kWidth <= k; j += V::kWidth) {
-            V d = uv - V::load(c + j);
-            ((d * d) * nis).store(orow + j);
+        float *blk = W > 1 ? scratch.data() : orow;
+        const V uv = V::load(u + r);
+        for (int64_t j = 0; j < k; ++j) {
+            V d = uv - V::broadcast(c[j]);
+            ((d * d) * nis).store(blk + j * W);
         }
-        for (; j < k; ++j) {
-            S d = S::broadcast(u[r]) - S::load(c + j);
-            ((d * d) * S::broadcast(neg_inv_tau)).store(orow + j);
+        const V mx = rowMaxT<V>(blk, k);
+        D denom = D::broadcast(0.0);
+        for (int64_t j = 0; j < k; ++j) {
+            V e = expPs(V::load(blk + j * W) - mx);
+            e.store(blk + j * W);
+            denom = denom + D::widen(e);
         }
-        softmaxOneRowT<Tag>(orow, k, orow);
+        const V inv = (D::broadcast(1.0) / denom).narrow();
+        for (int64_t j = 0; j < k; ++j) {
+            storeLanes(V::load(blk + j * W) * inv, orow + j, k);
+        }
+    }
+    if constexpr (W > 1) {
+        attentionRowsT<ScalarTag>(u + r, rows - r, c, k, neg_inv_tau,
+                                  o + r * k);
+    }
+}
+
+/** Row-lane paper-mode eDKM backward (KernelTable::paperRows). */
+template <typename Tag>
+inline void
+paperRowsT(const PaperRowArgs &a, int64_t i0, int64_t rows,
+           double *terms, float *gw)
+{
+    using V = Vec<Tag>;
+    using D = VecD<Tag>;
+    constexpr int W = V::kWidth;
+    const int64_t k = a.k;
+    // The block's table rows, transposed, and their gA.
+    std::vector<float> scratch(static_cast<size_t>(2 * k * W));
+    float *at = scratch.data();
+    float *ga = at + k * W;
+    const V zero = V::broadcast(0.0f);
+    const V inv_tau = V::broadcast(a.invTau);
+    const D two = D::broadcast(2.0);
+    const D minus_two = D::broadcast(-2.0);
+    int64_t i = 0;
+    for (; i + W <= rows; i += W) {
+        const int64_t ib = i0 + i;
+        // Lane l reads table row row(ib + l): offsets relative to the
+        // block's first row without idx, so they fit int32 at any n.
+        const float *tbase =
+            a.idx != nullptr ? a.table : a.table + ib * k;
+        int32_t off[W];
+        float wl[W];
+        for (int l = 0; l < W; ++l) {
+            int64_t row = a.idx != nullptr ? a.idx[ib + l] : ib + l;
+            off[l] = static_cast<int32_t>(
+                (a.idx != nullptr ? row : l) * k);
+            wl[l] = a.vals[row];
+        }
+        const V wv = V::load(wl);
+        const V gv = a.g != nullptr ? V::load(a.g + ib) : zero;
+
+        // gA += gn w + gm; direct gw from nv; dot = sum gA a.
+        D gw_acc = D::broadcast(0.0);
+        D dot = D::broadcast(0.0);
+        for (int64_t j = 0; j < k; ++j) {
+            V av = V::gather(tbase + j, off);
+            av.store(at + j * W);
+            V seed =
+                a.g != nullptr ? gv * V::broadcast(a.cFinal[j]) : zero;
+            V gr = seed + (V::broadcast(a.gn[j]) * wv +
+                           V::broadcast(a.gm[j]));
+            gr.store(ga + j * W);
+            gw_acc = gw_acc + D::widen(av) * D::broadcast(a.gn[j]);
+            dot = dot + D::widen(gr) * D::widen(av);
+        }
+        // softmax backward + distance path.
+        const V dotf = dot.narrow();
+        for (int64_t j = 0; j < k; ++j) {
+            V gs = V::load(at + j * W) * (V::load(ga + j * W) - dotf);
+            V gdsq = V::neg(gs) * inv_tau;
+            V d = wv - V::broadcast(a.cIn[j]);
+            D gd = D::widen(gdsq);
+            D dd = D::widen(d);
+            gw_acc = gw_acc + (gd * two) * dd;
+            storeLanes((gd * minus_two) * dd, terms + i * k + j, k);
+        }
+        gw_acc.narrow().store(gw + i);
+    }
+    if constexpr (W > 1) {
+        paperRowsT<ScalarTag>(a, i0 + i, rows - i, terms + i * k, gw + i);
+    }
+}
+
+/** Gather-add with centroids across the lanes: each part[j] is its own
+ *  chain over ascending i, so any lane split gives the same bits. Runs
+ *  on the 8-lane ReduceTag sibling, the widest that k = 8 fills. */
+template <typename Tag>
+inline void
+gatherAddRowsT(const double *terms, const float *gw_row, int64_t k,
+               const uint16_t *idx, int64_t n, double *part, float *gw)
+{
+    using D = VecD<typename ReduceTag<Tag>::type>;
+    auto row = [&](int64_t i) {
+        return terms + (idx != nullptr ? idx[i] : i) * k;
+    };
+    int64_t j = 0;
+    for (; j + D::kWidth <= k; j += D::kWidth) {
+        D acc = D::load(part + j);
+        for (int64_t i = 0; i < n; ++i) {
+            acc = acc + D::load(row(i) + j);
+        }
+        acc.store(part + j);
+    }
+    for (; j < k; ++j) {
+        double acc = part[j];
+        for (int64_t i = 0; i < n; ++i) {
+            acc += row(i)[j];
+        }
+        part[j] = acc;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        gw[i] += gw_row[idx != nullptr ? idx[i] : i];
     }
 }
 
@@ -605,6 +781,15 @@ makeKernelTable(Backend id)
     t.attentionRows = [](const float *u, int64_t rows, const float *c,
                          int64_t k, float neg_inv_tau, float *o) {
         attentionRowsT<Tag>(u, rows, c, k, neg_inv_tau, o);
+    };
+    t.paperRows = [](const PaperRowArgs &a, int64_t i0, int64_t rows,
+                     double *terms, float *gw) {
+        paperRowsT<Tag>(a, i0, rows, terms, gw);
+    };
+    t.gatherAddRows = [](const double *terms, const float *gw_row,
+                         int64_t k, const uint16_t *idx, int64_t n,
+                         double *part, float *gw) {
+        gatherAddRowsT<Tag>(terms, gw_row, k, idx, n, part, gw);
     };
     t.absDiffRows = [](const float *u, int64_t rows, const float *c,
                        int64_t k, float *o) {

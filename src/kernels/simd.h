@@ -11,6 +11,9 @@
  *   - `Avx512Tag` — 16 lanes, only where the TU is built with -mavx512f.
  *   - `NeonTag`   — 4 lanes, only where the TU targets ARM NEON.
  *
+ * `VecD<Tag>` is the f64 companion of `Vec<Tag>` (same lane count) for
+ * row-lane kernels whose rows keep double-precision sums.
+ *
  * Numerics contract: every Vec operation maps to the IEEE-754 single
  * operation of its scalar counterpart (add/sub/mul/div/sqrt/min/max are
  * exact; no FMA contraction — backend TUs compile with -ffp-contract=off
@@ -139,6 +142,12 @@ struct Vec<ScalarTag>
     abs(Vec a)
     {
         return {std::fabs(a.v)};
+    }
+    /** Sign flip, as unary minus (0 - x would give +0 for x = +0). */
+    static Vec
+    neg(Vec a)
+    {
+        return {-a.v};
     }
     static Vec
     sqrt(Vec a)
@@ -295,6 +304,11 @@ struct Vec<Avx2Tag>
         return {_mm256_andnot_ps(sign, a.v)};
     }
     static Vec
+    neg(Vec a)
+    {
+        return {_mm256_xor_ps(a.v, _mm256_set1_ps(-0.0f))};
+    }
+    static Vec
     sqrt(Vec a)
     {
         return {_mm256_sqrt_ps(a.v)};
@@ -355,6 +369,12 @@ template <>
 struct Vec<Avx512Tag>
 {
     static constexpr int kWidth = 16;
+    /** All-lanes mask. Intrinsics with an implicit merge source (max,
+     *  min, sqrt, roundscale, cvtt, slli, gather) are called in their
+     *  zero- or explicit-source masked form with this mask: the same
+     *  instruction result, but the plain forms pass GCC an undefined
+     *  merge value that it reports as maybe-uninitialized. */
+    static constexpr __mmask16 kAll = 0xffff;
     __m512 v;
 
     static Vec
@@ -383,7 +403,8 @@ struct Vec<Avx512Tag>
     gather(const float *base, const int32_t *idx)
     {
         __m512i vi = _mm512_loadu_si512(idx);
-        return {_mm512_i32gather_ps(vi, base, 4)};
+        return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll, vi,
+                                         base, 4)};
     }
 
     friend Vec
@@ -412,30 +433,37 @@ struct Vec<Avx512Tag>
     {
         // EVEX vmaxps keeps the legacy semantics: (a > b ? a : b),
         // unordered lanes yield b — same as the scalar reference.
-        return {_mm512_max_ps(a.v, b.v)};
+        return {_mm512_maskz_max_ps(kAll, a.v, b.v)};
     }
     static Vec
     min(Vec a, Vec b)
     {
-        return {_mm512_min_ps(a.v, b.v)};
+        return {_mm512_maskz_min_ps(kAll, a.v, b.v)};
     }
     static Vec
     abs(Vec a)
     {
+        __m512i magnitude = _mm512_set1_epi32(INT32_C(0x7fffffff));
+        return {_mm512_castsi512_ps(
+            _mm512_and_si512(magnitude, _mm512_castps_si512(a.v)))};
+    }
+    static Vec
+    neg(Vec a)
+    {
         __m512i sign = _mm512_set1_epi32(INT32_C(0x80000000));
         return {_mm512_castsi512_ps(
-            _mm512_andnot_si512(sign, _mm512_castps_si512(a.v)))};
+            _mm512_xor_si512(sign, _mm512_castps_si512(a.v)))};
     }
     static Vec
     sqrt(Vec a)
     {
-        return {_mm512_sqrt_ps(a.v)};
+        return {_mm512_maskz_sqrt_ps(kAll, a.v)};
     }
     static Vec
     floor(Vec a)
     {
-        return {_mm512_roundscale_ps(
-            a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+        return {_mm512_maskz_roundscale_ps(
+            kAll, a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
     }
 
     /** Compares produce a k-mask; expand it to the shared all-ones
@@ -475,9 +503,9 @@ struct Vec<Avx512Tag>
     static Vec
     pow2Int(Vec n)
     {
-        __m512i e = _mm512_cvttps_epi32(n.v);
+        __m512i e = _mm512_maskz_cvttps_epi32(kAll, n.v);
         e = _mm512_add_epi32(e, _mm512_set1_epi32(127));
-        e = _mm512_slli_epi32(e, 23);
+        e = _mm512_maskz_slli_epi32(kAll, e, 23);
         return {_mm512_castsi512_ps(e)};
     }
 };
@@ -573,6 +601,11 @@ struct Vec<NeonTag>
         return {vabsq_f32(a.v)};
     }
     static Vec
+    neg(Vec a)
+    {
+        return {vnegq_f32(a.v)};
+    }
+    static Vec
     sqrt(Vec a)
     {
 #if defined(__aarch64__)
@@ -641,6 +674,209 @@ struct Vec<NeonTag>
     }
 };
 #endif // __ARM_NEON
+
+// ----------------------------------------------------------------------
+// f64 companion lanes. `VecD<Tag>` holds Vec<Tag>::kWidth doubles, lane
+// l pairing with lane l of a Vec<Tag>, so row-lane kernels can run a
+// row's double-precision chain (an f64 denominator or gradient sum) in
+// the same lane as its f32 math. Every op is the IEEE double op of the
+// scalar code: widen is exact, narrow rounds to nearest like
+// static_cast<float>(double). The generic form runs each lane in scalar
+// code (the scalar and NEON backends); AVX2 and AVX-512 specialize it
+// over two native f64 registers.
+// ----------------------------------------------------------------------
+
+template <typename Tag>
+struct VecD
+{
+    static constexpr int kWidth = Vec<Tag>::kWidth;
+    double v[kWidth];
+
+    static VecD
+    broadcast(double x)
+    {
+        VecD r;
+        for (int l = 0; l < kWidth; ++l) {
+            r.v[l] = x;
+        }
+        return r;
+    }
+    static VecD
+    load(const double *p)
+    {
+        VecD r;
+        for (int l = 0; l < kWidth; ++l) {
+            r.v[l] = p[l];
+        }
+        return r;
+    }
+    void
+    store(double *p) const
+    {
+        for (int l = 0; l < kWidth; ++l) {
+            p[l] = v[l];
+        }
+    }
+    /** Exact f32 -> f64 of every lane. */
+    static VecD
+    widen(Vec<Tag> f)
+    {
+        float t[kWidth];
+        f.store(t);
+        VecD r;
+        for (int l = 0; l < kWidth; ++l) {
+            r.v[l] = static_cast<double>(t[l]);
+        }
+        return r;
+    }
+    /** Round-to-nearest f64 -> f32 of every lane. */
+    Vec<Tag>
+    narrow() const
+    {
+        float t[kWidth];
+        for (int l = 0; l < kWidth; ++l) {
+            t[l] = static_cast<float>(v[l]);
+        }
+        return Vec<Tag>::load(t);
+    }
+
+    friend VecD
+    operator+(VecD a, VecD b)
+    {
+        for (int l = 0; l < kWidth; ++l) {
+            a.v[l] += b.v[l];
+        }
+        return a;
+    }
+    friend VecD
+    operator*(VecD a, VecD b)
+    {
+        for (int l = 0; l < kWidth; ++l) {
+            a.v[l] *= b.v[l];
+        }
+        return a;
+    }
+    friend VecD
+    operator/(VecD a, VecD b)
+    {
+        for (int l = 0; l < kWidth; ++l) {
+            a.v[l] /= b.v[l];
+        }
+        return a;
+    }
+};
+
+#if defined(__AVX2__)
+template <>
+struct VecD<Avx2Tag>
+{
+    static constexpr int kWidth = 8;
+    __m256d lo, hi; ///< lanes 0-3, 4-7
+
+    static VecD
+    broadcast(double x)
+    {
+        return {_mm256_set1_pd(x), _mm256_set1_pd(x)};
+    }
+    static VecD
+    load(const double *p)
+    {
+        return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+    }
+    void
+    store(double *p) const
+    {
+        _mm256_storeu_pd(p, lo);
+        _mm256_storeu_pd(p + 4, hi);
+    }
+    static VecD
+    widen(Vec<Avx2Tag> f)
+    {
+        return {_mm256_cvtps_pd(_mm256_castps256_ps128(f.v)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps(f.v, 1))};
+    }
+    Vec<Avx2Tag>
+    narrow() const
+    {
+        return {_mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))};
+    }
+
+    friend VecD
+    operator+(VecD a, VecD b)
+    {
+        return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+    }
+    friend VecD
+    operator*(VecD a, VecD b)
+    {
+        return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+    }
+    friend VecD
+    operator/(VecD a, VecD b)
+    {
+        return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
+    }
+};
+#endif // __AVX2__
+
+#if defined(__AVX512F__)
+template <>
+struct VecD<Avx512Tag>
+{
+    static constexpr int kWidth = 16;
+    __m512d lo, hi; ///< lanes 0-7, 8-15
+
+    static VecD
+    broadcast(double x)
+    {
+        return {_mm512_set1_pd(x), _mm512_set1_pd(x)};
+    }
+    void
+    store(double *p) const
+    {
+        _mm512_storeu_pd(p, lo);
+        _mm512_storeu_pd(p + 8, hi);
+    }
+    // Zero-masking forms with an all-ones mask, as in Vec<Avx512Tag>.
+    static VecD
+    widen(Vec<Avx512Tag> f)
+    {
+        __m512d both = _mm512_castps_pd(f.v);
+        __m256 flo = _mm256_castpd_ps(
+            _mm512_maskz_extractf64x4_pd(0xff, both, 0));
+        __m256 fhi = _mm256_castpd_ps(
+            _mm512_maskz_extractf64x4_pd(0xff, both, 1));
+        return {_mm512_maskz_cvtps_pd(0xff, flo),
+                _mm512_maskz_cvtps_pd(0xff, fhi)};
+    }
+    Vec<Avx512Tag>
+    narrow() const
+    {
+        __m256d flo = _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xff, lo));
+        __m256d fhi = _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xff, hi));
+        __m512d low = _mm512_maskz_insertf64x4(0xff, _mm512_setzero_pd(),
+                                               flo, 0);
+        __m512d both = _mm512_maskz_insertf64x4(0xff, low, fhi, 1);
+        return {_mm512_castpd_ps(both)};
+    }
+
+    friend VecD
+    operator+(VecD a, VecD b)
+    {
+        return {_mm512_add_pd(a.lo, b.lo), _mm512_add_pd(a.hi, b.hi)};
+    }
+    friend VecD
+    operator*(VecD a, VecD b)
+    {
+        return {_mm512_mul_pd(a.lo, b.lo), _mm512_mul_pd(a.hi, b.hi)};
+    }
+    friend VecD
+    operator/(VecD a, VecD b)
+    {
+        return {_mm512_div_pd(a.lo, b.lo), _mm512_div_pd(a.hi, b.hi)};
+    }
+};
+#endif // __AVX512F__
 
 // ----------------------------------------------------------------------
 // Reduction tag mapping. Reductions fold a fixed virtual 8-slot

@@ -131,10 +131,10 @@ InferenceEngine::linearForward(const std::string &path, const Variable &x)
     const api::TensorSection &s = reader_->section(name);
     if (s.codec == api::Codec::kPalettized) {
         ++stats_.streamedMatmuls;
-        int64_t fused0 = paletteFusedCalls();
+        bool fused = false;
         Variable r =
-            af::constant(paletteMatmulT(x.data(), palette(name)));
-        stats_.fusedDecodes += paletteFusedCalls() - fused0;
+            af::constant(paletteMatmulT(x.data(), palette(name), &fused));
+        stats_.fusedDecodes += fused ? 1 : 0;
         return r;
     }
     Tensor w = denseWeight(name);

@@ -627,7 +627,7 @@ maxLastDim(const Tensor &a)
     Tensor ac = a.isContiguous() ? a : a.contiguous();
     Shape out_shape(a.shape().begin(), a.shape().end() - 1);
     if (out_shape.empty()) {
-        out_shape = {1};
+        out_shape.push_back(1);
     }
     Tensor values = Tensor::empty(out_shape, DType::kF32, a.device());
     Tensor indices = Tensor::empty(out_shape, DType::kI64, a.device());

@@ -333,6 +333,60 @@ TEST(EdkmGolden, ReconstructGradientBitsPinned)
     }
 }
 
+/**
+ * Golden forward of the table-space iterations: the clustered weights
+ * and the final centroids, bit for bit, at n = 4096 (several row chunks
+ * of every attention table), maxIters 4 with convergenceEps 0.
+ */
+TEST(EdkmGolden, ForwardBitsPinned)
+{
+    DeviceManager::instance().resetAll();
+    const int64_t n = 4096;
+    Tensor w = bf16Weights(n, 93);
+
+    struct Case
+    {
+        bool uniquify;
+        int bits;
+        uint64_t outHash;
+        uint64_t centroidHash;
+    };
+    // Captured from the per-row attention kernels that put centroids
+    // across the vector lanes.
+    const Case cases[] = {
+        {true, 1, 0x9c0951b236bf52f3ull, 0x2e69b44e9540bed5ull},
+        {true, 2, 0x54985f99debe557cull, 0xfedac1aa49e88559ull},
+        {true, 3, 0x0c320b3699b9837cull, 0x23e2cda9da5d7470ull},
+        {true, 4, 0xab19e858efe460a1ull, 0xe5c0b47b5e1a7228ull},
+        {false, 1, 0xdaead5d8d9df6052ull, 0x5b3695e85243a59cull},
+        {false, 2, 0xba765af35e25888bull, 0xcdc9ee0428c50063ull},
+        {false, 3, 0x9ed0c707058d1faaull, 0x5553d777f1205e80ull},
+        {false, 4, 0x9ee1811213050943ull, 0x735c1ef58c4d37f4ull},
+    };
+    auto hashOf = [](const Tensor &t) {
+        Tensor c = t.contiguous();
+        return checksum64(c.rawData<const float>(),
+                          static_cast<size_t>(c.numel()) * sizeof(float));
+    };
+    for (const Case &c : cases) {
+        EdkmConfig cfg;
+        cfg.dkm = sharedCfg();
+        cfg.dkm.bits = c.bits;
+        cfg.uniquify = c.uniquify;
+        EdkmLayer layer(cfg);
+        Variable out = layer.forward(Variable(w.clone(), true));
+        ASSERT_EQ(layer.report().iterations, 4);
+        uint64_t ho = hashOf(out.data());
+        uint64_t hc = hashOf(layer.centroids());
+        EXPECT_EQ(ho, c.outHash)
+            << "uniquify=" << c.uniquify << " bits=" << c.bits
+            << " out hash=0x" << std::hex << ho;
+        EXPECT_EQ(hc, c.centroidHash)
+            << "uniquify=" << c.uniquify << " bits=" << c.bits
+            << " centroid hash=0x" << std::hex << hc;
+    }
+}
+
 /** Parameterized sweep: equivalence holds across bit widths. */
 class EdkmBitsSweep : public ::testing::TestWithParam<int> {};
 

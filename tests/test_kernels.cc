@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -198,40 +199,223 @@ TEST(KernelBackends, MatvecBitIdenticalAcrossBackends)
     }
 }
 
+/** Bitwise equality, with every NaN matching every NaN: which NaN
+ *  operand's payload and sign an op propagates depends on the operand
+ *  order the compiler picks for commutative ops, even between two
+ *  compilations of the same scalar code, so NaN bits are outside the
+ *  contract. */
+template <typename T>
+void
+expectSameBits(const std::vector<T> &a, const std::vector<T> &b,
+               const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (std::isnan(a[i]) && std::isnan(b[i])) {
+            continue;
+        }
+        ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(T)), 0)
+            << what << " element " << i << ": " << a[i] << " vs " << b[i];
+    }
+}
+
+/** Hardware f32 lanes of a backend (row-lane kernels step by this). */
+int64_t
+laneWidth(kernels::Backend b)
+{
+    switch (b) {
+    case kernels::Backend::kAvx2:
+        return 8;
+    case kernels::Backend::kAvx512:
+        return 16;
+    case kernels::Backend::kNeon:
+        return 4;
+    case kernels::Backend::kScalar:
+        break;
+    }
+    return 1;
+}
+
+/**
+ * Values and centroids for the row kernels, salted with the special
+ * cases: NaN, +-inf, -0, values equal to a centroid, and duplicate
+ * centroids. Centroids stay sorted (nearestRows needs that) and
+ * include -0 and +inf.
+ */
+struct RowCase
+{
+    std::vector<float> u;
+    std::vector<float> c;
+    /** c with one NaN centroid (not sorted any more): rows then mix a
+     *  NaN score with ordinary ones. */
+    std::vector<float> cNan;
+};
+
+RowCase
+rowCase(int64_t rows, int64_t k, uint64_t seed)
+{
+    RowCase rc;
+    rc.u = randomVec(rows, seed, -0.1f, 0.1f);
+    rc.c = randomVec(k, seed + 1, -0.1f, 0.1f);
+    if (k >= 3) {
+        rc.c[1] = rc.c[0]; // duplicate centroid
+        rc.c[2] = -0.0f;
+    }
+    if (k >= 4) {
+        // A row at u = +inf then scores NaN at this centroid only.
+        rc.c[3] = std::numeric_limits<float>::infinity();
+    }
+    std::sort(rc.c.begin(), rc.c.end());
+    const float special[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             -0.0f, 0.0f, rc.c[0], rc.c[k - 1]};
+    for (int64_t i = 0; i < rows; i += 5) {
+        rc.u[static_cast<size_t>(i)] = special[(i / 5) % 7];
+    }
+    rc.cNan = rc.c;
+    if (k >= 2) {
+        rc.cNan[static_cast<size_t>(k / 2)] =
+            std::numeric_limits<float>::quiet_NaN();
+    }
+    return rc;
+}
+
+const int64_t kRowKs[] = {1, 5, 8, 16, 19, 256};
+
+/** Row counts around a backend's lane width, plus large ragged ones. */
+std::vector<int64_t>
+rowCounts(kernels::Backend b)
+{
+    int64_t w = laneWidth(b);
+    return {1, w - 1, w, w + 1, 97, 2357};
+}
+
 TEST(KernelBackends, FusedRowKernelsBitIdenticalAcrossBackends)
 {
     const kernels::KernelTable &sc =
         kernels::table(kernels::Backend::kScalar);
     for (auto b : kernels::availableBackends()) {
         const kernels::KernelTable &kt = kernels::table(b);
-        for (int64_t k : {1, 5, 8, 16, 19}) {
-            int64_t rows = 97;
-            std::vector<float> u = randomVec(rows, 61u + k, -0.1f, 0.1f);
-            std::vector<float> c = randomVec(k, 67u + k, -0.1f, 0.1f);
-            std::vector<float> t0(static_cast<size_t>(rows * k));
-            std::vector<float> t1(static_cast<size_t>(rows * k));
+        for (int64_t k : kRowKs) {
+            for (int64_t rows : rowCounts(b)) {
+                SCOPED_TRACE(::testing::Message()
+                             << kernels::backendName(b) << " k=" << k
+                             << " rows=" << rows);
+                RowCase rc = rowCase(rows, k, 61u + k + rows);
+                std::vector<float> t0(static_cast<size_t>(rows * k));
+                std::vector<float> t1(static_cast<size_t>(rows * k));
+                // tau 1e-3, and 1e-30 whose scores underflow exp.
+                for (const std::vector<float> *c : {&rc.cNan, &rc.c}) {
+                    for (float nis : {-1e3f, -1e30f}) {
+                        sc.attentionRows(rc.u.data(), rows, c->data(), k,
+                                         nis, t0.data());
+                        kt.attentionRows(rc.u.data(), rows, c->data(), k,
+                                         nis, t1.data());
+                        expectSameBits(t0, t1, "attentionRows");
+                    }
+                }
 
-            sc.attentionRows(u.data(), rows, c.data(), k, -1e3f,
-                             t0.data());
-            kt.attentionRows(u.data(), rows, c.data(), k, -1e3f,
-                             t1.data());
-            expectBitEqual(t0, t1, "attentionRows");
+                sc.softmaxRows(t0.data(), rows, k, t0.data());
+                kt.softmaxRows(t1.data(), rows, k, t1.data());
+                expectSameBits(t0, t1, "softmaxRows");
 
-            sc.softmaxRows(t0.data(), rows, k, t0.data());
-            kt.softmaxRows(t1.data(), rows, k, t1.data());
-            expectBitEqual(t0, t1, "softmaxRows");
+                sc.absDiffRows(rc.u.data(), rows, rc.c.data(), k,
+                               t0.data());
+                kt.absDiffRows(rc.u.data(), rows, rc.c.data(), k,
+                               t1.data());
+                expectSameBits(t0, t1, "absDiffRows");
 
-            sc.absDiffRows(u.data(), rows, c.data(), k, t0.data());
-            kt.absDiffRows(u.data(), rows, c.data(), k, t1.data());
-            expectBitEqual(t0, t1, "absDiffRows");
+                std::vector<int32_t> a0(static_cast<size_t>(rows));
+                std::vector<int32_t> a1(static_cast<size_t>(rows));
+                sc.nearestRows(rc.u.data(), rows, rc.c.data(), k,
+                               a0.data());
+                kt.nearestRows(rc.u.data(), rows, rc.c.data(), k,
+                               a1.data());
+                EXPECT_EQ(a0, a1) << "nearestRows";
+            }
+        }
+    }
+}
 
-            std::vector<float> cs = c;
-            std::sort(cs.begin(), cs.end());
-            std::vector<int32_t> a0(static_cast<size_t>(rows));
-            std::vector<int32_t> a1(static_cast<size_t>(rows));
-            sc.nearestRows(u.data(), rows, cs.data(), k, a0.data());
-            kt.nearestRows(u.data(), rows, cs.data(), k, a1.data());
-            EXPECT_EQ(a0, a1) << "nearestRows k=" << k;
+/**
+ * The paper-mode backward rows and the gather-add against the scalar
+ * table: table rows read directly and through idx, gA seeded from g and
+ * from 0, a block starting mid-range, and the special-valued attention
+ * tables and values of rowCase.
+ */
+TEST(KernelBackends, PaperRowKernelsBitIdenticalAcrossBackends)
+{
+    const kernels::KernelTable &sc =
+        kernels::table(kernels::Backend::kScalar);
+    for (auto b : kernels::availableBackends()) {
+        const kernels::KernelTable &kt = kernels::table(b);
+        for (int64_t k : kRowKs) {
+            for (int64_t rows : rowCounts(b)) {
+                SCOPED_TRACE(::testing::Message()
+                             << kernels::backendName(b) << " k=" << k
+                             << " rows=" << rows);
+                RowCase rc = rowCase(rows, k, 71u + k + rows);
+                std::vector<float> table(static_cast<size_t>(rows * k));
+                sc.attentionRows(rc.u.data(), rows, rc.c.data(), k,
+                                 -1e3f, table.data());
+                std::vector<float> gn = randomVec(k, 73u + k, -5.0f, 5.0f);
+                std::vector<float> gm = randomVec(k, 79u + k, -5.0f, 5.0f);
+                std::vector<float> g = randomVec(rows, 83u + rows);
+                if (rows > 0) {
+                    g[0] = -0.0f;
+                }
+                Rng ir(89u + static_cast<uint64_t>(rows));
+                std::vector<uint16_t> idx(static_cast<size_t>(rows));
+                for (uint16_t &x : idx) {
+                    x = static_cast<uint16_t>(ir.randint(0, rows - 1));
+                }
+
+                kernels::PaperRowArgs args{};
+                args.k = k;
+                args.invTau = 1e3f;
+                args.gn = gn.data();
+                args.gm = gm.data();
+                args.cIn = rc.c.data();
+                args.table = table.data();
+                args.vals = rc.u.data();
+                args.cFinal = rc.c.data();
+                for (bool via_idx : {false, true}) {
+                    for (bool seeded : {false, true}) {
+                        args.idx = via_idx ? idx.data() : nullptr;
+                        args.g = seeded ? g.data() : nullptr;
+                        const size_t nt = static_cast<size_t>(rows * k);
+                        std::vector<double> terms0(nt), terms1(nt);
+                        std::vector<float> gw0(static_cast<size_t>(rows));
+                        std::vector<float> gw1(static_cast<size_t>(rows));
+                        sc.paperRows(args, 0, rows, terms0.data(),
+                                     gw0.data());
+                        // Two blocks on the backend under test, the
+                        // second starting mid-range.
+                        int64_t split = rows / 3;
+                        kt.paperRows(args, 0, split, terms1.data(),
+                                     gw1.data());
+                        kt.paperRows(args, split, rows - split,
+                                     terms1.data() + split * k,
+                                     gw1.data() + split);
+                        expectSameBits(terms0, terms1, "paperRows terms");
+                        expectSameBits(gw0, gw1, "paperRows gw");
+
+                        std::vector<double> part0(static_cast<size_t>(k),
+                                                  0.5);
+                        std::vector<double> part1 = part0;
+                        std::vector<float> acc0 = g, acc1 = g;
+                        sc.gatherAddRows(terms0.data(), gw0.data(), k,
+                                         args.idx, rows, part0.data(),
+                                         acc0.data());
+                        kt.gatherAddRows(terms0.data(), gw0.data(), k,
+                                         args.idx, rows, part1.data(),
+                                         acc1.data());
+                        expectSameBits(part0, part1, "gatherAddRows part");
+                        expectSameBits(acc0, acc1, "gatherAddRows gw");
+                    }
+                }
+            }
         }
     }
 }

@@ -9,11 +9,13 @@
  */
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <thread>
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
@@ -855,6 +857,53 @@ TEST(Engine, PalettizedLayersStreamWithoutDenseDecode)
     EXPECT_EQ(engine.residentWeightBytes(), 0);
     EXPECT_GT(engine.stats().streamedMatmuls, 0);
     EXPECT_GT(engine.stats().borrowedViews, 0);
+    std::remove(path.c_str());
+}
+
+/**
+ * EngineStats::fusedDecodes counts this engine's own m==1 fused
+ * decodes: two engines generating at once on one reader each report
+ * exactly what they report alone, not each other's calls.
+ */
+TEST(Engine, FusedDecodeCountsArePerEngineUnderConcurrency)
+{
+    nn::MiniLlama model = tinyModel();
+    api::SessionResult res = compressTiny(model, "edkm");
+    std::string path = writeTemp(res.artifact.serialize(),
+                                 "edkm_test_engine_fused_stats.edkm");
+    auto reader = serve::ArtifactReader::open(path);
+    const serve::InferenceEngine::Request reqs[2] = {{{1, 2, 3}, 6},
+                                                     {{60, 5}, 2}};
+    const int reps = 20;
+
+    int64_t alone[2];
+    for (int e = 0; e < 2; ++e) {
+        serve::InferenceEngine engine(reader);
+        engine.generate(reqs[e]);
+        alone[e] = engine.stats().fusedDecodes;
+    }
+    ASSERT_GT(alone[0], 0);
+    ASSERT_GT(alone[1], 0);
+    ASSERT_NE(alone[0], alone[1]);
+
+    serve::InferenceEngine engines[2] = {serve::InferenceEngine(reader),
+                                         serve::InferenceEngine(reader)};
+    std::atomic<int> ready{0};
+    auto work = [&](int e) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        for (int r = 0; r < reps; ++r) {
+            engines[e].generate(reqs[e]);
+        }
+    };
+    std::thread t0(work, 0), t1(work, 1);
+    t0.join();
+    t1.join();
+    for (int e = 0; e < 2; ++e) {
+        EXPECT_EQ(engines[e].stats().fusedDecodes, reps * alone[e])
+            << "engine " << e;
+    }
     std::remove(path.c_str());
 }
 
