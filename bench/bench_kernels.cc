@@ -3,11 +3,14 @@
  * Kernel-layer micro-bench: single-thread throughput of the fused
  * attention-table kernel against the composed op chain it replaced
  * (sub -> square -> mulScalar -> softmaxLastDim), of the vector
- * elementwise kernels against the scalar reference backend, and of the
+ * elementwise kernels against the scalar reference backend, of the
  * attention-table kernel at k = 8 and 16 against the scalar backend
- * (exit code gated on SIMD being no slower at either k). Also
- * re-asserts the determinism contract end-to-end: eDKM clustering
- * forward+backward is bit-identical at 1 and 8 threads.
+ * (exit code gated on SIMD being no slower at either k), and of the
+ * fused palettized decode per backend and against the staged path
+ * (exit code gated on bit identity, fused <= staged, and SIMD <= scalar
+ * at 1024x1024 @4b). Also re-asserts the determinism contract
+ * end-to-end: eDKM clustering forward+backward is bit-identical at 1
+ * and 8 threads.
  *
  * Emits machine-readable JSON to BENCH_kernels.json (cwd) so CI can
  * track the fused-kernel speedup across PRs. Wall-clock time is
@@ -214,82 +217,115 @@ main(int argc, char **argv)
     std::cout << "  attention[simd] <= attention[scalar] at every k: "
               << (attention_simd_ok ? "yes" : "NO") << "\n";
 
-    // ---- fused palettized decode: per-backend rows keyed by dispatch
-    // name and the staged-vs-fused tensor path. The staged/fused
-    // comparison doubles as the bit-identity gate for the exit code. ----
-    const int64_t din = 1024, dout = 1024;
-    const int dbits = 4;
-    Rng prng(17);
-    std::vector<float> plut(1 << dbits);
-    for (float &cv : plut) {
-        cv = prng.uniform(-0.05f, 0.05f);
-    }
-    std::vector<int32_t> passign(static_cast<size_t>(din * dout));
-    for (int32_t &a : passign) {
-        a = static_cast<int32_t>(prng.randint(0, (1 << dbits) - 1));
-    }
-    PalettizedTensor pal = PalettizedTensor::fromAssignments(
-        {dout, din}, plut, passign, dbits);
-    PaletteView pview = viewOf(pal);
-    std::vector<float> px(static_cast<size_t>(din));
-    for (float &v : px) {
-        v = prng.bernoulli(0.1) ? 0.0f : prng.uniform(-1.0f, 1.0f);
-    }
-    Tensor pxT = Tensor::fromVector(px, {1, din});
-
-    // Per-backend raw kernel rows (single thread, no tensor glue).
+    // ---- fused palettized decode over the tiled indices: per-backend
+    // rows keyed by dispatch name and the staged-vs-fused tensor path,
+    // at 1024x1024 @4b and at the serving / paper setting 256x256 @3b.
+    // Gates: staged and fused are bit-identical and fused is no slower
+    // than staged at each shape; at 1024x1024 @4b every SIMD backend's
+    // kernel is no slower than the scalar one. ----
     struct PaletteRow
     {
         std::string variant;
         double ms;
     };
-    std::vector<PaletteRow> palette_rows;
+    struct PaletteCase
     {
-        runtime::SerialGuard serial;
-        std::vector<float> pout(static_cast<size_t>(dout));
-        for (auto be : kernels::availableBackends()) {
-            const kernels::KernelTable &kt = kernels::table(be);
-            double ms = timeMs(reps, [&] {
-                kt.paletteDotFused(px.data(), din, pview.packed,
-                                   pview.bits, pview.lut.data(), 0, dout,
-                                   pout.data());
-                volatile float sink = pout[0];
-                (void)sink;
-            });
-            palette_rows.push_back({kernels::backendName(be), ms});
+        int64_t out, in;
+        int bits;
+        std::vector<PaletteRow> rows; // rows[0] is the scalar backend
+        double staged_ms = 0.0, fused_ms = 0.0;
+        bool identical = false;
+    };
+    auto paletteCase = [&](int64_t dout, int64_t din, int dbits,
+                           uint64_t seed) {
+        PaletteCase pc{dout, din, dbits, {}, 0.0, 0.0, false};
+        Rng prng(seed);
+        std::vector<float> plut(static_cast<size_t>(1) << dbits);
+        for (float &cv : plut) {
+            cv = prng.uniform(-0.05f, 0.05f);
+        }
+        std::vector<int32_t> passign(static_cast<size_t>(din * dout));
+        for (int32_t &a : passign) {
+            a = static_cast<int32_t>(prng.randint(0, (1 << dbits) - 1));
+        }
+        PalettizedTensor pal = PalettizedTensor::fromAssignments(
+            {dout, din}, plut, passign, dbits);
+        PaletteView pview = viewOf(pal);
+        std::vector<float> px(static_cast<size_t>(din));
+        for (float &v : px) {
+            v = prng.bernoulli(0.1) ? 0.0f : prng.uniform(-1.0f, 1.0f);
+        }
+        Tensor pxT = Tensor::fromVector(px, {1, din});
+
+        // Per-backend raw kernel rows (single thread, no tensor glue).
+        {
+            runtime::SerialGuard serial;
+            std::vector<float> pout(static_cast<size_t>(dout));
+            for (auto be : kernels::availableBackends()) {
+                const kernels::KernelTable &kt = kernels::table(be);
+                double ms = timeMs(reps, [&] {
+                    kt.paletteDotFused(px.data(), din,
+                                       pview.tiles->data(), pview.bits,
+                                       pview.lut.data(), 0, dout,
+                                       pout.data());
+                    volatile float sink = pout[0];
+                    (void)sink;
+                });
+                pc.rows.push_back({kernels::backendName(be), ms});
+            }
+        }
+
+        // Tensor-level staged vs fused decode (active backend, threaded
+        // as the serving path runs it) + the bit-identity gate.
+        pc.staged_ms = timeMs(reps, [&] {
+            Tensor t = paletteMatmulTStaged(pxT, pview);
+            volatile float sink = t.rawData<float>()[0];
+            (void)sink;
+        });
+        pc.fused_ms = timeMs(reps, [&] {
+            Tensor t = paletteMatmulT(pxT, pview);
+            volatile float sink = t.rawData<float>()[0];
+            (void)sink;
+        });
+        std::vector<float> staged_out =
+            paletteMatmulTStaged(pxT, pview).toVector();
+        std::vector<float> fused_out =
+            paletteMatmulT(pxT, pview).toVector();
+        pc.identical = staged_out.size() == fused_out.size() &&
+                       std::memcmp(staged_out.data(), fused_out.data(),
+                                   staged_out.size() * sizeof(float)) == 0;
+        return pc;
+    };
+    std::vector<PaletteCase> palette_cases = {paletteCase(1024, 1024, 4, 17),
+                                              paletteCase(256, 256, 3, 19)};
+    bool palette_ok = true;
+    for (const PaletteCase &pc : palette_cases) {
+        bool fused_wins = pc.fused_ms <= pc.staged_ms;
+        bool simd_wins = true;
+        if (pc.out == 1024 && pc.in == 1024 && pc.bits == 4) {
+            for (const PaletteRow &row : pc.rows) {
+                simd_wins = simd_wins && row.ms <= pc.rows[0].ms;
+            }
+        }
+        palette_ok = palette_ok && pc.identical && fused_wins && simd_wins;
+        std::cout << "palettized decode " << pc.out << "x" << pc.in << " @"
+                  << pc.bits << "b\n";
+        for (const PaletteRow &row : pc.rows) {
+            std::cout << "  fused[" << row.variant << "]: " << row.ms
+                      << " ms\n";
+        }
+        std::cout << "  staged path: " << pc.staged_ms << " ms\n"
+                  << "  fused path:  " << pc.fused_ms << " ms ("
+                  << pc.staged_ms / pc.fused_ms << "x)\n"
+                  << "  staged/fused bit-identical: "
+                  << (pc.identical ? "yes" : "NO") << "\n"
+                  << "  fused path <= staged path: "
+                  << (fused_wins ? "yes" : "NO") << "\n";
+        if (pc.out == 1024 && pc.in == 1024 && pc.bits == 4) {
+            std::cout << "  fused[simd] <= fused[scalar] per backend: "
+                      << (simd_wins ? "yes" : "NO") << "\n";
         }
     }
-
-    // Tensor-level staged vs fused decode (active backend, threaded as
-    // the serving path runs it) + the bit-identity gate.
-    double staged_ms = timeMs(reps, [&] {
-        Tensor t = paletteMatmulTStaged(pxT, pview);
-        volatile float sink = t.rawData<float>()[0];
-        (void)sink;
-    });
-    double fuseddec_ms = timeMs(reps, [&] {
-        Tensor t = paletteMatmulT(pxT, pview);
-        volatile float sink = t.rawData<float>()[0];
-        (void)sink;
-    });
-    std::vector<float> staged_out =
-        paletteMatmulTStaged(pxT, pview).toVector();
-    std::vector<float> fused_out = paletteMatmulT(pxT, pview).toVector();
-    bool palette_identical =
-        staged_out.size() == fused_out.size() &&
-        std::memcmp(staged_out.data(), fused_out.data(),
-                    staged_out.size() * sizeof(float)) == 0;
-    std::cout << "palettized decode " << dout << "x" << din << " @"
-              << dbits << "b\n";
-    for (const PaletteRow &row : palette_rows) {
-        std::cout << "  fused[" << row.variant << "]: " << row.ms
-                  << " ms\n";
-    }
-    std::cout << "  staged path: " << staged_ms << " ms\n"
-              << "  fused path:  " << fuseddec_ms << " ms ("
-              << staged_ms / fuseddec_ms << "x)\n"
-              << "  staged/fused bit-identical: "
-              << (palette_identical ? "yes" : "NO") << "\n";
 
     // ---- thread-count determinism of the full clustering stack ----
     Rng wr(31);
@@ -338,24 +374,26 @@ main(int argc, char **argv)
          << (attention_simd_ok ? "true" : "false") << ",\n"
          << "  \"edkm_1v8_threads_bit_identical\": "
          << (identical ? "true" : "false") << ",\n"
-         << "  \"palette_decode\": {\n"
-         << "    \"out\": " << dout << ",\n"
-         << "    \"in\": " << din << ",\n"
-         << "    \"bits\": " << dbits << ",\n"
-         << "    \"rows\": [\n";
-    for (size_t i = 0; i < palette_rows.size(); ++i) {
-        json << "      {\"variant\": \"" << palette_rows[i].variant
-             << "\", \"fused_ms\": " << palette_rows[i].ms << "}"
-             << (i + 1 < palette_rows.size() ? "," : "") << "\n";
-    }
-    json << "    ],\n"
-         << "    \"staged_ms\": " << staged_ms << ",\n"
-         << "    \"fused_ms\": " << fuseddec_ms << ",\n"
-         << "    \"fused_speedup\": " << staged_ms / fuseddec_ms
+         << "  \"palette_ok\": " << (palette_ok ? "true" : "false")
          << ",\n"
-         << "    \"staged_fused_bit_identical\": "
-         << (palette_identical ? "true" : "false") << "\n"
-         << "  }\n}\n";
+         << "  \"palette_decode\": [\n";
+    for (size_t c = 0; c < palette_cases.size(); ++c) {
+        const PaletteCase &pc = palette_cases[c];
+        json << "    {\"out\": " << pc.out << ", \"in\": " << pc.in
+             << ", \"bits\": " << pc.bits << ", \"rows\": [";
+        for (size_t i = 0; i < pc.rows.size(); ++i) {
+            json << (i ? ", " : "") << "{\"variant\": \""
+                 << pc.rows[i].variant
+                 << "\", \"fused_ms\": " << pc.rows[i].ms << "}";
+        }
+        json << "], \"staged_ms\": " << pc.staged_ms
+             << ", \"fused_ms\": " << pc.fused_ms
+             << ", \"fused_speedup\": " << pc.staged_ms / pc.fused_ms
+             << ", \"staged_fused_bit_identical\": "
+             << (pc.identical ? "true" : "false") << "}"
+             << (c + 1 < palette_cases.size() ? "," : "") << "\n";
+    }
+    json << "  ]\n}\n";
     std::cout << "wrote BENCH_kernels.json\n";
-    return identical && palette_identical && attention_simd_ok ? 0 : 1;
+    return identical && palette_ok && attention_simd_ok ? 0 : 1;
 }

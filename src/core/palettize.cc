@@ -38,6 +38,16 @@ packBits(const std::vector<int32_t> &values, int bits)
     return out;
 }
 
+std::shared_ptr<const PaletteTiles>
+buildPaletteTiles(const uint8_t *packed, int bits, const Shape &shape)
+{
+    if (shape.size() != 2) {
+        return nullptr;
+    }
+    return std::make_shared<const PaletteTiles>(
+        kernels::tilePaletteIndices(packed, bits, shape[0], shape[1]));
+}
+
 std::vector<int32_t>
 unpackBits(const std::vector<uint8_t> &stream, int bits, int64_t n)
 {
@@ -87,6 +97,7 @@ PalettizedTensor::fromAssignments(Shape shape,
     p.packed_ = packBits(assignments, bits);
     EDKM_CHECK(static_cast<int64_t>(assignments.size()) == p.numel(),
                "palettize: one assignment per element");
+    p.tiles_ = buildPaletteTiles(p.packed_.data(), bits, p.shape_);
     return p;
 }
 
@@ -199,6 +210,7 @@ PalettizedTensor::deserialize(const std::vector<uint8_t> &bytes)
                "-bit indices");
     EDKM_CHECK(at == bytes.size(), "PalettizedTensor::deserialize: ",
                bytes.size() - at, " trailing bytes");
+    p.tiles_ = buildPaletteTiles(p.packed_.data(), p.bits_, p.shape_);
     return p;
 }
 
@@ -279,6 +291,7 @@ viewOf(const PalettizedTensor &p)
     v.lut = p.lut();
     v.packed = p.packed().data();
     v.packedBytes = static_cast<int64_t>(p.packed().size());
+    v.tiles = p.tiles();
     return v;
 }
 
@@ -365,8 +378,8 @@ paletteMatmulT(const Tensor &x, const PaletteView &w, bool *fused)
     // The fused kernel covers the m==1 decode with >1 output column
     // (out == 1 takes matmulStreamed's fixed-lane matvec path, whose
     // accumulation order the fused column chain does not replay).
-    bool use_fused =
-        xc.size(0) == 1 && out != 1 && paletteFusedDecodeEnabled();
+    bool use_fused = xc.size(0) == 1 && out != 1 && w.tiles != nullptr &&
+                     paletteFusedDecodeEnabled();
     if (fused != nullptr) {
         *fused = use_fused;
     }
@@ -377,17 +390,17 @@ paletteMatmulT(const Tensor &x, const PaletteView &w, bool *fused)
     Tensor outT = Tensor::empty({1, out}, DType::kF32, xc.device());
     const float *px = xc.rawData<float>();
     const float *lut = w.lut.data();
-    const uint8_t *packed = w.packed;
+    const uint8_t *tiles = w.tiles->data();
     const int bits = w.bits;
     float *po = outT.rawData<float>();
-    // Chunks own disjoint output-column ranges and each column's value
-    // is a self-contained sequential chain, so the split is
-    // thread-count-invariant.
-    runtime::parallelFor(0, out, runtime::grainFor(out, 2 * in),
-                         [&](int64_t cb, int64_t ce) {
-                             fn(px, in, packed, bits, lut, cb, ce - cb,
-                                po + cb);
-                         });
+    // Chunks own disjoint output-column ranges starting on tile
+    // boundaries, and each column's value is a self-contained
+    // sequential chain, so the split is thread-count-invariant.
+    runtime::parallelFor(
+        0, out, runtime::grainForAligned(out, 2 * in, kernels::kPaletteTile),
+        [&](int64_t cb, int64_t ce) {
+            fn(px, in, tiles, bits, lut, cb, ce - cb, po + cb);
+        });
     chargeFlops(2.0 * static_cast<double>(in) *
                     static_cast<double>(out),
                 xc.device());

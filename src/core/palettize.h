@@ -41,6 +41,19 @@ std::vector<int32_t> unpackBits(const std::vector<uint8_t> &stream,
 using kernels::unpackBitsAt;
 
 /**
+ * Tiled copy of a 2-d palettized weight's index stream: the layout the
+ * fused m==1 decode reads (kernels.h, "Tiled palette indices"). Built
+ * once per weight by its owner — the PalettizedTensor, or the
+ * ArtifactReader at open — and shared read-only by every view.
+ */
+using PaletteTiles = std::vector<uint8_t>;
+
+/** Tile the [shape[0], shape[1]] index stream @p packed; null unless
+ *  @p shape is 2-d. */
+std::shared_ptr<const PaletteTiles>
+buildPaletteTiles(const uint8_t *packed, int bits, const Shape &shape);
+
+/**
  * A weight tensor compressed to `bits` per weight via clustering:
  * lookup table (stored in FP16, as deployed) + packed index bitstream.
  */
@@ -74,6 +87,13 @@ class PalettizedTensor
     /** Packed n-bit index bitstream (row-major element order). */
     const std::vector<uint8_t> &packed() const { return packed_; }
 
+    /** The tiled indices, built once with the tensor (null unless
+     *  2-d); copies of the tensor share them. */
+    const std::shared_ptr<const PaletteTiles> &tiles() const
+    {
+        return tiles_;
+    }
+
     /** Serialized size: packed indices + FP16 LUT + header. */
     int64_t payloadBytes() const;
 
@@ -93,6 +113,7 @@ class PalettizedTensor
     int bits_ = 0;
     std::vector<float> lut_;       ///< 2^bits centroids (f32 mirror)
     std::vector<uint8_t> packed_;  ///< n-bit index bitstream
+    std::shared_ptr<const PaletteTiles> tiles_; ///< tiled packed_
 };
 
 /**
@@ -102,6 +123,12 @@ class PalettizedTensor
  * pins the backing memory; serving consumes the view directly through
  * paletteMatmulT / paletteGatherRows without ever decoding the dense
  * tensor.
+ *
+ * @p tiles is the same index stream in the tiled layout, which the
+ * fused m==1 decode reads. It is shared with the weight's owner, never
+ * built per view: ArtifactReader::paletteView hands every engine the
+ * reader's copy, viewOf the PalettizedTensor's. A view without tiles
+ * (parsePaletteView alone) decodes m==1 through the staged path.
  */
 struct PaletteView
 {
@@ -111,17 +138,20 @@ struct PaletteView
     const uint8_t *packed = nullptr;   ///< packBits stream, borrowed
     int64_t packedBytes = 0;
     std::shared_ptr<const void> owner; ///< keep-alive for @p packed
+    std::shared_ptr<const PaletteTiles> tiles; ///< shared tiled indices
 };
 
 /**
  * Parse a PalettizedTensor::serialize payload into a view: header and
  * LUT are decoded (validated like deserialize), the index bitstream is
- * borrowed from @p bytes in place. @p owner is stored in the view.
+ * borrowed from @p bytes in place. @p owner is stored in the view; the
+ * view has no tiles (the caller that owns the bytes attaches them).
  */
 PaletteView parsePaletteView(const uint8_t *bytes, size_t size,
                              std::shared_ptr<const void> owner);
 
-/** View over an owned PalettizedTensor (@p p must outlive the view). */
+/** View over an owned PalettizedTensor (@p p must outlive the view);
+ *  shares @p p's tiles. */
 PaletteView viewOf(const PalettizedTensor &p);
 
 /**
@@ -131,13 +161,15 @@ PaletteView viewOf(const PalettizedTensor &p);
  *
  * Two internal paths, bit-identical to each other by construction:
  *   - m == 1 (the serving decode hot path, more than one output
- *     column): the *fused* kernel — packed indices -> LUT gathers ->
+ *     column, the view carries tiles): the *fused* kernel — tiled
+ *     indices -> LUT permutes (gathers above 4 bits) ->
  *     multiply-accumulate straight into the output, no staging buffer
- *     (kernels::KernelTable::paletteDotFused, parallel over disjoint
- *     output-column ranges).
- *   - everything else (prefill, batched decode, single-output), or
- *     when the fused path is disabled: the staged path — index tiles
- *     decoded through gatherU16 and streamed through matmulStreamed.
+ *     (kernels::KernelTable::paletteDotFused, parallel over output-
+ *     column chunks that start on tile boundaries).
+ *   - everything else (prefill, batched decode, single-output, no
+ *     tiles), or when the fused path is disabled: the staged path —
+ *     the packed stream decoded through gatherU16 in blocks and
+ *     streamed through matmulStreamed.
  * When @p fused is given, it is set to whether this call took the
  * fused path (per-caller stats such as serve::EngineStats, which a
  * process-wide counter would mix up between concurrent engines).

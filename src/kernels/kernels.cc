@@ -237,5 +237,44 @@ gatherU16(const float *src, const uint16_t *idx, int64_t n, float *out)
     }
 }
 
+std::vector<uint8_t>
+tilePaletteIndices(const uint8_t *packed, int bits, int64_t rows,
+                   int64_t k)
+{
+    std::vector<uint8_t> tiles(
+        static_cast<size_t>(paletteTileBytes(rows, k, bits)), 0);
+    const int64_t row_bytes = 2 * static_cast<int64_t>(bits);
+    const uint32_t mask = (1u << bits) - 1u;
+    for (int64_t r = 0; r < rows; ++r) {
+        // Row r's indices are consecutive in the stream: shift them out
+        // of a byte-fed buffer (reading only bytes that hold its bits)
+        // and OR each whole index into its lane's slot of tile row p,
+        // the same span bytes every time.
+        const int64_t bit0 = r * k * bits;
+        const uint8_t *src = packed + (bit0 >> 3);
+        uint64_t buf = static_cast<uint64_t>(*src++) >> (bit0 & 7);
+        int avail = 8 - static_cast<int>(bit0 & 7);
+        const int lane = static_cast<int>(r % kPaletteTile);
+        const int slot = (lane & 7) * bits;
+        const int shift = slot & 7;
+        const int span = (shift + bits + 7) / 8;
+        uint8_t *dst = tiles.data() + (r / kPaletteTile) * k * row_bytes +
+                       (lane >> 3) * bits + (slot >> 3);
+        for (int64_t p = 0; p < k; ++p, dst += row_bytes) {
+            while (avail < bits) {
+                buf |= static_cast<uint64_t>(*src++) << avail;
+                avail += 8;
+            }
+            const uint32_t v = (static_cast<uint32_t>(buf) & mask) << shift;
+            buf >>= bits;
+            avail -= bits;
+            for (int b = 0; b < span; ++b) {
+                dst[b] |= static_cast<uint8_t>(v >> (8 * b));
+            }
+        }
+    }
+    return tiles;
+}
+
 } // namespace kernels
 } // namespace edkm

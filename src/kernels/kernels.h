@@ -57,16 +57,16 @@ enum class Backend
 const char *backendName(Backend b);
 
 /**
- * Random-access read of one @p bits-wide value of a packBits
- * little-endian bitstream (bits in [1, 16]) starting at raw bit offset
- * @p bitpos. Touches only the bytes holding the value, so it is safe up
- * to the last element of a minimally-sized stream. The hot fused-decode
- * loops use this form directly with incrementally maintained bit
- * offsets, avoiding a 64-bit multiply per extracted index.
+ * Random-access read of the @p i-th @p bits-wide value (bits in
+ * [1, 16]) of a packBits little-endian bitstream. Touches only the
+ * bytes holding the value, so it is safe up to the last element of a
+ * minimally-sized stream. Lives in the kernels layer next to the tile
+ * builder; core/palettize.h re-exports it as `edkm::unpackBitsAt`.
  */
 inline int32_t
-unpackBitsAtBit(const uint8_t *stream, int bits, int64_t bitpos)
+unpackBitsAt(const uint8_t *stream, int bits, int64_t i)
 {
+    const int64_t bitpos = i * bits;
     int64_t byte = bitpos >> 3;
     int off = static_cast<int>(bitpos & 7);
     uint32_t acc = static_cast<uint32_t>(stream[byte]) >> off;
@@ -80,29 +80,74 @@ unpackBitsAtBit(const uint8_t *stream, int bits, int64_t bitpos)
 }
 
 /**
- * Random-access read of the @p i-th @p bits-wide value of a packBits
- * stream (element-index form of unpackBitsAtBit). Lives in the kernels
- * layer so the fused palette-decode kernels can walk index streams
- * without a dependency on core/; core/palettize.h re-exports it as
- * `edkm::unpackBitsAt`.
+ * Tiled palette indices: the index layout the fused m==1 decode reads.
+ * A palettized [rows, k] weight (rows = output columns of x · W^T) is
+ * cut into tiles of kPaletteTile rows; tile t holds rows
+ * [16t, 16t + 16), the rows past `rows` in the last tile padded with
+ * index 0. For each tile and each p ascending, one *tile row* holds the
+ * 16 indices (16t + l, p), l = 0..15, as two groups of 8: group g is
+ * exactly `bits` bytes and packs lanes 8g..8g+7 LSB-first as packBits
+ * does (lane 8g + i at bits [i·bits, (i+1)·bits) of the group). So a
+ * tile row is 2·bits bytes, a tile is k·2·bits bytes, and tile t starts
+ * at byte t·k·2·bits. kPaletteTilePad zero bytes follow the last tile,
+ * so a 4-byte little-endian load starting anywhere inside the last
+ * group stays in bounds. Without the pad the stream is as large as the
+ * packBits stream plus the padding rows of the last tile.
+ *
+ * At ≤ 4 bits one group fits a 32-bit word, so a vector backend turns
+ * a tile row into lane indices with a broadcast and a per-lane shift,
+ * and the ≤ 16-entry LUT lookup becomes a register permute.
  */
-inline int32_t
-unpackBitsAt(const uint8_t *stream, int bits, int64_t i)
+constexpr int kPaletteTile = 16;
+constexpr int kPaletteTilePad = 3;
+
+/** Bytes of the tiled index stream of a [rows, k] weight, pad included. */
+inline int64_t
+paletteTileBytes(int64_t rows, int64_t k, int bits)
 {
-    return unpackBitsAtBit(stream, bits, i * bits);
+    return (rows + kPaletteTile - 1) / kPaletteTile * k * 2 * bits +
+           kPaletteTilePad;
+}
+
+/** Repack a [rows, k] packBits index stream (element (r, p) at position
+ *  r*k + p) into the tiled layout above. Reads only the bytes of a
+ *  minimally-sized stream. */
+std::vector<uint8_t> tilePaletteIndices(const uint8_t *packed, int bits,
+                                        int64_t rows, int64_t k);
+
+/** Little-endian 32-bit load of 4 bytes at @p p. */
+inline uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
+
+/** Decode the kPaletteTile indices of one tile row (any bits in
+ *  [1, 16]): idx[l] is lane l's index. */
+inline void
+unpackTileRow(const uint8_t *row, int bits, int32_t *idx)
+{
+    const uint32_t mask = (1u << bits) - 1u;
+    for (int l = 0; l < kPaletteTile; ++l) {
+        const int bit = (l & 7) * bits;
+        const uint32_t w = loadLe32(row + (l >> 3) * bits + (bit >> 3));
+        idx[l] = static_cast<int32_t>((w >> (bit & 7)) & mask);
+    }
 }
 
 /**
  * Signature of the fused palettized dot-product kernels: one [1,k] x
- * [k,cols] product read straight off a packed LUT+index weight. @p x is
- * the k-long input row; the weight is a [rows, k] palettized matrix
- * whose n-bit indices are packBits-packed row-major (element (r, p) at
- * stream position r*k + p), decoded through the 2^bits-entry @p lut.
- * Writes out[j] = sum_p x[p] * lut[idx(col0 + j, p)] for j in
- * [0, cols).
+ * [k,cols] product read straight off a palettized [rows, k] weight in
+ * the tiled layout above (@p tiles), decoded through the 2^bits-entry
+ * @p lut. Writes out[j] = sum_p x[p] * lut[idx(col0 + j, p)] for j in
+ * [0, cols). @p col0 must be a multiple of kPaletteTile; @p cols may end
+ * inside a tile.
  */
 using PaletteDotFn = void (*)(const float *x, int64_t k,
-                              const uint8_t *packed, int bits,
+                              const uint8_t *tiles, int bits,
                               const float *lut, int64_t col0,
                               int64_t cols, float *out);
 
@@ -202,7 +247,7 @@ struct KernelTable
                           double *part, float *gw);
 
     // ---- fused palettized decode (the m==1 serving hot path) ----
-    /** Walk packed indices -> LUT gathers -> multiply-accumulate, no
+    /** Walk tiled indices -> LUT lookups -> multiply-accumulate, no
      *  dense staging buffer. Replays the staged decode-then-axpy path's
      *  exact per-element FP sequence — ascending p, skip x[p] == 0.0f,
      *  separate IEEE mul then add — and maps vector lanes to

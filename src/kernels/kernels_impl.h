@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -204,95 +205,253 @@ matvecT(const float *a, int64_t rows, int64_t k, const float *x, float *y)
 }
 
 // ----------------------------------------------------------------------
-// Fused palettized decode: packed indices -> LUT gather -> mul-acc.
+// Fused palettized decode: tiled indices -> LUT lookup -> mul-acc.
 // ----------------------------------------------------------------------
 
 /**
- * out[j] = sum_p x[p] * lut[idx(col0 + j, p)] with idx packBits-packed
- * row-major over a [rows, k] weight — no dense staging buffer.
+ * Tile-row lookups: row() turns one tile row (kernels.h layout) into
+ * the kPaletteTile weights lut[idx(16t + l, p)], as kVecs vectors of
+ * consecutive lanes. This generic form decodes the 16 indices and
+ * gathers; it serves the scalar and NEON backends and every backend
+ * above 4 bits, where the LUT outgrows a register.
+ */
+template <typename Tag>
+struct TileGather
+{
+    using V = Vec<Tag>;
+    static constexpr int kVecs = kPaletteTile / V::kWidth;
+    const float *lut;
+    int bits;
+
+    TileGather(const float *l, int b) : lut(l), bits(b) {}
+
+    void
+    row(const uint8_t *r, V *w) const
+    {
+        int32_t idx[kPaletteTile];
+        unpackTileRow(r, bits, idx);
+        for (int v = 0; v < kVecs; ++v) {
+            w[v] = V::gather(lut, idx + v * V::kWidth);
+        }
+    }
+};
+
+/** The LUT padded to @p n entries: entry i is lut[i mod 2^bits], so a
+ *  permute that reads the low log2(n) bits of a lane needs no mask —
+ *  the bits above the index (the next lane's) select a copy. */
+inline void
+replicateLut(const float *lut, int bits, float *out, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        out[i] = lut[i & ((1 << bits) - 1)];
+    }
+}
+
+/** Per-lane shift of a broadcast group: lane l's index starts at bit
+ *  bits * (l mod 8) of its group. */
+inline void
+laneShifts(int bits, int32_t *out, int n)
+{
+    for (int l = 0; l < n; ++l) {
+        out[l] = bits * (l & 7);
+    }
+}
+
+#if defined(__AVX512F__)
+/** AVX-512 at ≤ 4 bits: both groups broadcast into one register (group
+ *  g in lanes 8g..8g+7), vpsrlvd by bits·lane, then one vpermps over
+ *  the replicated 16-entry LUT (it reads the low 4 bits of a lane). */
+struct TilePermute512
+{
+    using V = Vec<Avx512Tag>;
+    static constexpr int kVecs = 1;
+    __m512 table;
+    __m512i shifts;
+    int bits;
+
+    TilePermute512(const float *lut, int b) : bits(b)
+    {
+        alignas(64) float t[16];
+        alignas(64) int32_t sh[16];
+        replicateLut(lut, bits, t, 16);
+        laneShifts(bits, sh, 16);
+        table = _mm512_load_ps(t);
+        shifts = _mm512_load_si512(sh);
+    }
+
+    void
+    row(const uint8_t *r, V *w) const
+    {
+        __m512i g = _mm512_mask_set1_epi32(
+            _mm512_set1_epi32(static_cast<int>(loadLe32(r))), 0xff00,
+            static_cast<int>(loadLe32(r + bits)));
+        __m512i idx = _mm512_maskz_srlv_epi32(V::kAll, g, shifts);
+        w[0] = {_mm512_maskz_permutexvar_ps(V::kAll, idx, table)};
+    }
+};
+#endif
+
+#if defined(__AVX2__)
+/** AVX2 at ≤ 4 bits: per group, broadcast, vpsrlvd by bits·lane, then
+ *  vpermps (low 3 bits) over the replicated 8-entry LUT. At 4 bits a
+ *  second vpermps reads LUT entries 8..15 and bit 3, shifted into the
+ *  sign bit, blends the two. */
+template <bool kFourBits>
+struct TilePermute256
+{
+    using V = Vec<Avx2Tag>;
+    static constexpr int kVecs = 2;
+    __m256 lo, hi;
+    __m256i shifts;
+    int bits;
+
+    TilePermute256(const float *lut, int b) : bits(b)
+    {
+        alignas(32) float t[16];
+        alignas(32) int32_t sh[8];
+        replicateLut(lut, bits, t, 16);
+        laneShifts(bits, sh, 8);
+        lo = _mm256_load_ps(t);
+        hi = _mm256_load_ps(t + 8);
+        shifts = _mm256_load_si256(reinterpret_cast<const __m256i *>(sh));
+    }
+
+    void
+    row(const uint8_t *r, V *w) const
+    {
+        for (int g = 0; g < 2; ++g) {
+            __m256i idx = _mm256_srlv_epi32(
+                _mm256_set1_epi32(static_cast<int>(loadLe32(r + g * bits))),
+                shifts);
+            __m256 v = _mm256_permutevar8x32_ps(lo, idx);
+            if (kFourBits) {
+                v = _mm256_blendv_ps(
+                    v, _mm256_permutevar8x32_ps(hi, idx),
+                    _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
+            }
+            w[g] = {v};
+        }
+    }
+};
+#endif
+
+/**
+ * out[t*16 + l] for kTiles consecutive tiles starting at @p tile: each
+ * lane is one output column running the staged path's exact chain.
+ * Several tiles advance together so a one-register tile does not wait
+ * on its own add latency.
+ */
+template <int kTiles, typename Lookup>
+inline void
+paletteTilesT(const float *x, int64_t k, const uint8_t *tile,
+              int64_t tile_bytes, int64_t row_bytes, const Lookup &lk,
+              float *out)
+{
+    using V = typename Lookup::V;
+    constexpr int kVecs = Lookup::kVecs;
+    V acc[kTiles][kVecs];
+    for (auto &a : acc) {
+        for (V &v : a) {
+            v = V::broadcast(0.0f);
+        }
+    }
+    V w[kVecs];
+    for (int64_t p = 0; p < k; ++p) {
+        const float xv = x[p];
+        if (xv == 0.0f) {
+            continue;
+        }
+        const V bx = V::broadcast(xv);
+        const uint8_t *r = tile + p * row_bytes;
+        for (int t = 0; t < kTiles; ++t) {
+            lk.row(r + t * tile_bytes, w);
+            for (int v = 0; v < kVecs; ++v) {
+                acc[t][v] = acc[t][v] + bx * w[v];
+            }
+        }
+    }
+    for (int t = 0; t < kTiles; ++t) {
+        for (int v = 0; v < kVecs; ++v) {
+            acc[t][v].store(out + t * kPaletteTile + v * V::kWidth);
+        }
+    }
+}
+
+/** Columns [col0, col0 + cols) through @p lk: blocks of tiles, then
+ *  single tiles, then a partial last tile through a scratch row. */
+template <typename Lookup>
+inline void
+paletteColumnsT(const float *x, int64_t k, const uint8_t *tiles, int bits,
+                const Lookup &lk, int64_t col0, int64_t cols, float *out)
+{
+    constexpr int kBlock = Lookup::kVecs >= 4 ? 1 : 4 / Lookup::kVecs;
+    const int64_t row_bytes = 2 * static_cast<int64_t>(bits);
+    const int64_t tile_bytes = k * row_bytes;
+    const uint8_t *tile = tiles + col0 / kPaletteTile * tile_bytes;
+    int64_t j = 0;
+    for (; j + kBlock * kPaletteTile <= cols;
+         j += kBlock * kPaletteTile, tile += kBlock * tile_bytes) {
+        paletteTilesT<kBlock>(x, k, tile, tile_bytes, row_bytes, lk,
+                              out + j);
+    }
+    for (; j + kPaletteTile <= cols; j += kPaletteTile, tile += tile_bytes) {
+        paletteTilesT<1>(x, k, tile, tile_bytes, row_bytes, lk, out + j);
+    }
+    if (j < cols) {
+        float last[kPaletteTile];
+        paletteTilesT<1>(x, k, tile, tile_bytes, row_bytes, lk, last);
+        for (int64_t l = 0; j + l < cols; ++l) {
+            out[j + l] = last[l];
+        }
+    }
+}
+
+/**
+ * out[j] = sum_p x[p] * lut[idx(col0 + j, p)] over tiled indices
+ * (kernels.h layout) — no dense staging buffer.
  *
  * Bit-identity argument: the staged path (matmulStreamed m==1) computes
  * every output element as the chain "0.0f; for p ascending, skip
  * x[p] == 0.0f: out[j] = out[j] + x[p] * w[p][j]" with a separate IEEE
  * mul then add (kernels.h axpy). This kernel replays exactly that chain
  * per element; vector lanes hold *independent output columns*, so the
- * hardware width only changes how many such chains advance per
- * iteration, never the FP sequence inside one. Every backend therefore
- * agrees bitwise with the scalar reference and with the staged path.
- *
- * For a fixed column j the index positions (col0+j)*k + p, p ascending,
- * are consecutive values of the bitstream, so each lane walks a
- * sequential bit region — the gather touches at most kWidth cache
- * lines of the (tiny, hot) LUT.
+ * hardware width, the lookup (permute or gather — both return the LUT
+ * float itself) and the number of tiles in flight only change how many
+ * such chains advance per step, never the FP sequence inside one.
  */
 template <typename Tag>
 inline void
-paletteDotFusedT(const float *x, int64_t k, const uint8_t *packed,
+paletteDotFusedT(const float *x, int64_t k, const uint8_t *tiles,
                  int bits, const float *lut, int64_t col0, int64_t cols,
                  float *out)
 {
-    using V = Vec<Tag>;
-    int32_t idx[V::kWidth];
-    // Per-lane running bit offsets into the index stream: lane l's
-    // column starts at bit (col0+j+l)*k*bits and advances by `bits` per
-    // p step, so the inner loop does one add + one extraction per lane
-    // instead of a 64-bit multiply each. The scalar instantiation
-    // (kWidth == 1) skips straight to the rolling-buffer column loop
-    // below, which extracts indices faster than per-element random
-    // access.
-    int64_t lanebit[V::kWidth];
-    int64_t j = 0;
-    for (; V::kWidth > 1 && j + V::kWidth <= cols; j += V::kWidth) {
-        V acc = V::broadcast(0.0f);
-        const int64_t base = col0 + j;
-        for (int l = 0; l < V::kWidth; ++l) {
-            lanebit[l] = (base + l) * k * bits;
+#if defined(__AVX512F__)
+    if constexpr (std::is_same_v<Tag, Avx512Tag>) {
+        if (bits <= 4) {
+            paletteColumnsT(x, k, tiles, bits, TilePermute512(lut, bits),
+                            col0, cols, out);
+            return;
         }
-        for (int64_t p = 0; p < k; ++p) {
-            float xv = x[p];
-            if (xv == 0.0f) {
-                continue;
-            }
-            const int64_t pb = p * static_cast<int64_t>(bits);
-            for (int l = 0; l < V::kWidth; ++l) {
-                idx[l] = unpackBitsAtBit(packed, bits, lanebit[l] + pb);
-            }
-            acc = acc + V::broadcast(xv) * V::gather(lut, idx);
-        }
-        acc.store(out + j);
     }
-    for (; j < cols; ++j) {
-        using S = Vec<ScalarTag>;
-        S acc = S::broadcast(0.0f);
-        // A column's indices are consecutive in the bitstream, so shift
-        // them out of a rolling byte-fed buffer instead of re-reading
-        // (and re-shifting) the stream per element. Refills are
-        // byte-at-a-time and only touch bytes holding this column's
-        // bits, so no read past a minimally-sized stream. Indices are
-        // consumed even for skipped x[p] == 0 terms to keep the buffer
-        // in step; the FP chain is untouched (bit-identity preserved).
-        const int64_t bit0 = (col0 + j) * k * bits;
-        const uint8_t *ptr = packed + (bit0 >> 3);
-        uint64_t buf = static_cast<uint64_t>(*ptr++) >> (bit0 & 7);
-        int avail = 8 - static_cast<int>(bit0 & 7);
-        const uint32_t mask = (1u << bits) - 1u;
-        for (int64_t p = 0; p < k; ++p) {
-            while (avail < bits) {
-                buf |= static_cast<uint64_t>(*ptr++) << avail;
-                avail += 8;
-            }
-            int32_t id = static_cast<int32_t>(
-                static_cast<uint32_t>(buf) & mask);
-            buf >>= bits;
-            avail -= bits;
-            float xv = x[p];
-            if (xv == 0.0f) {
-                continue;
-            }
-            acc = acc + S::broadcast(xv) * S::gather(lut, &id);
+#endif
+#if defined(__AVX2__)
+    if constexpr (std::is_same_v<Tag, Avx2Tag>) {
+        if (bits <= 3) {
+            paletteColumnsT(x, k, tiles, bits,
+                            TilePermute256<false>(lut, bits), col0, cols,
+                            out);
+            return;
         }
-        acc.store(out + j);
+        if (bits == 4) {
+            paletteColumnsT(x, k, tiles, bits,
+                            TilePermute256<true>(lut, bits), col0, cols,
+                            out);
+            return;
+        }
     }
+#endif
+    paletteColumnsT(x, k, tiles, bits, TileGather<Tag>(lut, bits), col0,
+                    cols, out);
 }
 
 // ----------------------------------------------------------------------
@@ -769,10 +928,10 @@ makeKernelTable(Backend id)
         matvecT<Tag>(a, rows, k, x, y);
     };
     t.paletteDotFused = [](const float *x, int64_t k,
-                           const uint8_t *packed, int bits,
+                           const uint8_t *tiles, int bits,
                            const float *lut, int64_t col0, int64_t cols,
                            float *out) {
-        paletteDotFusedT<Tag>(x, k, packed, bits, lut, col0, cols, out);
+        paletteDotFusedT<Tag>(x, k, tiles, bits, lut, col0, cols, out);
     };
     t.softmaxRows = [](const float *a, int64_t rows, int64_t k,
                        float *o) {

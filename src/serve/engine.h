@@ -261,6 +261,10 @@ class InferenceEngine
 
     const EngineStats &stats() const { return stats_; }
 
+    /** Cached zero-copy palette view of a palettized section; its tiles
+     *  are the reader's, shared by every engine on it. */
+    const PaletteView &palette(const std::string &name);
+
     /** Heap bytes currently pinned by decoded weights (cache only —
      *  borrowed views cost no heap). */
     int64_t residentWeightBytes() const { return stats_.cacheBytes; }
@@ -275,9 +279,6 @@ class InferenceEngine
 
     /** Dense f32 weight: borrowed view (raw_f32) or lazy LRU decode. */
     Tensor denseWeight(const std::string &name);
-
-    /** Cached zero-copy palette view of a palettized section. */
-    const PaletteView &palette(const std::string &name);
 
     Variable linearForward(const std::string &path, const Variable &x);
     Variable rmsNorm(const Variable &x, const std::string &name);

@@ -121,6 +121,7 @@ ArtifactReader::open(const std::string &path, VerifyMode verify)
                 r->verifyAll();
             }
         }
+        r->buildTiles();
         return r;
     }
     EDKM_CHECK(api::isArtifactV1(mapping->data(), mapping->size()),
@@ -150,6 +151,7 @@ ArtifactReader::open(const std::string &path, VerifyMode verify)
         r->layout_.sections.push_back(std::move(s));
     }
     r->buildIndex();
+    r->buildTiles();
     return r;
 }
 
@@ -160,6 +162,34 @@ ArtifactReader::buildIndex()
     index_.reserve(layout_.sections.size());
     for (size_t i = 0; i < layout_.sections.size(); ++i) {
         index_.emplace(layout_.sections[i].name, i);
+    }
+}
+
+void
+ArtifactReader::buildTiles()
+{
+    tiles_.assign(layout_.sections.size(), nullptr);
+    for (size_t i = 0; i < layout_.sections.size(); ++i) {
+        const api::TensorSection &s = layout_.sections[i];
+        if (s.codec != api::Codec::kPalettized) {
+            continue;
+        }
+        // Lazy and off modes have not verified these bytes. A payload
+        // that does not parse is left untiled: its first paletteView()
+        // reports the corruption (naming the section) as it always has.
+        // One that parses but fails its checksum is rejected by that
+        // first view before its tiles are ever served.
+        PaletteView v;
+        try {
+            v = parsePaletteView(rawPayload(s),
+                                 static_cast<size_t>(s.bytes), nullptr);
+        } catch (const FatalError &) {
+            continue;
+        }
+        tiles_[i] = buildPaletteTiles(v.packed, v.bits, v.shape);
+        if (tiles_[i] != nullptr) {
+            tile_bytes_ += static_cast<int64_t>(tiles_[i]->size());
+        }
     }
 }
 
@@ -188,18 +218,25 @@ ArtifactReader::section(const std::string &name) const
 }
 
 const uint8_t *
-ArtifactReader::payload(const api::TensorSection &s) const
+ArtifactReader::rawPayload(const api::TensorSection &s) const
 {
     if (compat_ != nullptr) {
         return compat_->entry(s.name).payload.data();
     }
+    return mapping_->data() + s.offset;
+}
+
+const uint8_t *
+ArtifactReader::payload(const api::TensorSection &s) const
+{
     // Lazy mode: the first view of a section pays for its checksum
     // right here, before anyone consumes the bytes. Eager mode already
     // verified at open; off mode (or a checksum-less file) never does.
-    if (verified_ != nullptr && verify_ == VerifyMode::kLazy) {
+    if (compat_ == nullptr && verified_ != nullptr &&
+        verify_ == VerifyMode::kLazy) {
         verifySection(s);
     }
-    return mapping_->data() + s.offset;
+    return rawPayload(s);
 }
 
 void
@@ -274,6 +311,7 @@ ArtifactReader::paletteView(const std::string &name) const
         payload(s), static_cast<size_t>(s.bytes), keepAlive());
     EDKM_CHECK(v.shape == s.shape, "artifact reader: section '", name,
                "': palettized payload shape disagrees with the manifest");
+    v.tiles = tiles_[static_cast<size_t>(&s - layout_.sections.data())];
     return v;
 }
 

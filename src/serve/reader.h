@@ -11,7 +11,8 @@
  *                    (no copy; Storage in borrowed mode keeps the
  *                    mapping alive).
  *   - paletteView(): LUT + borrowed index bitstream of a palettized
- *                    section, consumed directly by paletteMatmulT.
+ *                    section, plus the reader's tiled copy of its
+ *                    indices, consumed directly by paletteMatmulT.
  *   - decode():      eager dense f32 decode of any section, bit-
  *                    identical to ArtifactEntry::decode.
  *
@@ -158,8 +159,18 @@ class ArtifactReader
      */
     Tensor denseView(const std::string &name) const;
 
-    /** Zero-copy palette view over a palettized section. */
+    /** Zero-copy palette view over a palettized section. Every view of
+     *  a section shares the tiles the reader built for it at open. */
     PaletteView paletteView(const std::string &name) const;
+
+    /**
+     * Bytes of the tiled palette indices built at open, one copy per
+     * 2-d palettized section (kernels.h, "Tiled palette indices"). Like
+     * the mapping they are weight storage, resident for the reader's
+     * lifetime and shared by every engine on it; they are not
+     * DeviceManager activation bytes.
+     */
+    int64_t tileBytes() const { return tile_bytes_; }
 
     /**
      * Eager dense f32 decode of any section — bit-identical to the
@@ -178,6 +189,12 @@ class ArtifactReader
 
     /** Rebuild the name -> section index after layout_ is filled. */
     void buildIndex();
+
+    /** Tile every 2-d palettized section (the open-time repack). */
+    void buildTiles();
+
+    /** @p s's payload bytes, without verification. */
+    const uint8_t *rawPayload(const api::TensorSection &s) const;
 
     /** Checksum @p s once (thread-safe, idempotent); throws naming the
      *  section on mismatch. */
@@ -198,6 +215,9 @@ class ArtifactReader
     std::shared_ptr<FileMapping> mapping_;
     /** v1 compat: payloads live here instead of in the mapping. */
     std::shared_ptr<api::ModelArtifact> compat_;
+    /** Tiled indices per section (by index; null when not tiled). */
+    std::vector<std::shared_ptr<const PaletteTiles>> tiles_;
+    int64_t tile_bytes_ = 0;
 };
 
 } // namespace serve

@@ -93,7 +93,7 @@ using MatmulRowFill =
  * copies of the same values — including matmul's row-shape invariance.
  *
  * The palettized m==1 decode (core/palettize.cc::paletteMatmulT) has a
- * fused sibling that skips the tile staging entirely
+ * fused sibling that skips the dense staging entirely
  * (kernels::KernelTable::paletteDotFused); it replays this function's
  * m==1 accumulation contract — ascending-p, zero skip, separate IEEE
  * mul/add per element — so the two stay bit-identical (ctest-gated).

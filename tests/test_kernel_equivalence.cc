@@ -3,9 +3,10 @@
  * Randomized differential harness for the fused palettized decode
  * kernel and cross-backend kernel equivalence.
  *
- * Sweeps seeded random shapes (k, n, bits in {2,3,4}, column alignment
- * offsets, tail lengths not divisible by 8/16) and asserts, via raw
- * float-bit comparison:
+ * Sweeps seeded random shapes (k, n, bits in {1,2,3,4,5,8}, tile-aligned
+ * column offsets, tail lengths not divisible by 8/16) and asserts, via
+ * raw float-bit comparison:
+ *   - the tiled index layout round-trips the packed stream,
  *   - fused kernel vs an independent scalar reference reimplementation,
  *   - every available backend vs the scalar dispatch table (the loops
  *     are table-driven over availableBackends(), so a newly added
@@ -68,6 +69,7 @@ struct PackedWeight
     int bits;
     std::vector<float> lut;
     std::vector<uint8_t> packed;
+    std::vector<uint8_t> tiles; ///< packed, in the kernels' tiled layout
 };
 
 PackedWeight
@@ -88,6 +90,7 @@ randomPackedWeight(int64_t rows, int64_t k, int bits, uint64_t seed)
         i = static_cast<int32_t>(rng.randint(0, lut_n - 1));
     }
     w.packed = packBits(idx, bits);
+    w.tiles = kernels::tilePaletteIndices(w.packed.data(), bits, rows, k);
     return w;
 }
 
@@ -131,16 +134,66 @@ tensorBits(const Tensor &t)
 }
 
 // ---------------------------------------------------------------------
+// Tiled index layout.
+// ---------------------------------------------------------------------
+
+TEST(KernelEquivalence, TiledIndicesRoundTrip)
+{
+    // Built from minimally sized packBits streams, and decoded through
+    // the kernels' own 4-byte tile-row loads, so the sanitized build
+    // catches an over-read on either side.
+    uint64_t seed = 808;
+    for (int bits = 1; bits <= 16; ++bits) {
+        for (int64_t rows : {1, 15, 16, 17, 33}) {
+            for (int64_t k : {1, 3, 129}) {
+                Rng rng(++seed);
+                std::vector<int32_t> idx(static_cast<size_t>(rows * k));
+                for (int32_t &i : idx) {
+                    i = static_cast<int32_t>(
+                        rng.randint(0, (1 << bits) - 1));
+                }
+                std::vector<uint8_t> packed = packBits(idx, bits);
+                std::vector<uint8_t> tiles = kernels::tilePaletteIndices(
+                    packed.data(), bits, rows, k);
+                ASSERT_EQ(static_cast<int64_t>(tiles.size()),
+                          kernels::paletteTileBytes(rows, k, bits));
+                const int64_t ntiles = (rows + 15) / 16;
+                for (int64_t t = 0; t < ntiles; ++t) {
+                    for (int64_t p = 0; p < k; ++p) {
+                        int32_t got[kernels::kPaletteTile];
+                        kernels::unpackTileRow(
+                            tiles.data() + (t * k + p) * 2 * bits, bits,
+                            got);
+                        for (int l = 0; l < kernels::kPaletteTile; ++l) {
+                            int64_t r = t * 16 + l;
+                            int32_t want =
+                                r < rows ? unpackBitsAt(packed.data(),
+                                                        bits, r * k + p)
+                                         : 0;
+                            ASSERT_EQ(got[l], want)
+                                << "bits=" << bits << " rows=" << rows
+                                << " k=" << k << " r=" << r
+                                << " p=" << p;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fused kernel vs scalar reference, every backend, randomized shapes.
 // ---------------------------------------------------------------------
 
 TEST(KernelEquivalence, FusedMatchesReferenceOnEveryBackend)
 {
     // Tail lengths deliberately not divisible by 8 or 16, plus
-    // exact-lane and sub-lane cases.
+    // exact-lane and sub-lane cases. Bits 5 and 8 take the gather
+    // fallback (the LUT no longer fits one register).
     const int64_t kDims[] = {1, 3, 8, 17, 64, 129};
     const int64_t kCols[] = {1, 2, 7, 9, 15, 16, 17, 31, 33, 157};
-    const int bitsList[] = {2, 3, 4};
+    const int bitsList[] = {1, 2, 3, 4, 5, 8};
     uint64_t seed = 1234;
     for (int bits : bitsList) {
         for (int64_t k : kDims) {
@@ -153,7 +206,7 @@ TEST(KernelEquivalence, FusedMatchesReferenceOnEveryBackend)
                     const kernels::KernelTable &kt = kernels::table(b);
                     std::vector<float> got(static_cast<size_t>(cols),
                                            -1.0f);
-                    kt.paletteDotFused(x.data(), k, w.packed.data(),
+                    kt.paletteDotFused(x.data(), k, w.tiles.data(),
                                        bits, w.lut.data(), 0, cols,
                                        got.data());
                     expectBitsEqual(
@@ -171,15 +224,17 @@ TEST(KernelEquivalence, FusedMatchesReferenceOnEveryBackend)
 
 TEST(KernelEquivalence, FusedColumnOffsetsAndPartialRanges)
 {
-    // col0 offsets exercise unaligned bitstream starts: with bits=3 and
-    // k=33 a column's bit offset takes every value mod 8 across rows.
-    PackedWeight w = randomPackedWeight(/*rows=*/64, /*k=*/33,
+    // Chunks start on tile boundaries; ranges may end inside a tile,
+    // including the partial last tile (61 rows: its last 3 lanes are
+    // padding). With bits=3 and k=33 a row's bit offset in the packed
+    // stream takes every value mod 8, which the tile build must handle.
+    PackedWeight w = randomPackedWeight(/*rows=*/61, /*k=*/33,
                                         /*bits=*/3, 99);
     std::vector<float> x = randomRow(33, 77);
-    const int64_t offsets[] = {0, 1, 3, 5, 8, 13};
+    const int64_t offsets[] = {0, 16, 32, 48};
     for (int64_t col0 : offsets) {
-        for (int64_t cols : {int64_t{1}, int64_t{9}, int64_t{17},
-                             64 - col0}) {
+        for (int64_t cols : {int64_t{1}, int64_t{9}, int64_t{16},
+                             int64_t{17}, 61 - col0}) {
             if (col0 + cols > w.rows) {
                 continue;
             }
@@ -187,7 +242,7 @@ TEST(KernelEquivalence, FusedColumnOffsetsAndPartialRanges)
             for (auto b : kernels::availableBackends()) {
                 std::vector<float> got(static_cast<size_t>(cols));
                 kernels::table(b).paletteDotFused(
-                    x.data(), w.k, w.packed.data(), w.bits,
+                    x.data(), w.k, w.tiles.data(), w.bits,
                     w.lut.data(), col0, cols, got.data());
                 expectBitsEqual(
                     ref, got,

@@ -729,6 +729,82 @@ TEST(Reader, ZeroCopyViewsMatchEagerDecode)
     std::remove(path.c_str());
 }
 
+// The tiled palette indices are built once per owner and shared: every
+// engine on one reader reads the reader's copy, and every viewOf of one
+// PalettizedTensor reads the tensor's.
+TEST(Reader, PaletteTilesAreBuiltOnceAndShared)
+{
+    nn::MiniLlama model = tinyModel();
+    api::SessionResult res = compressTiny(model, "edkm");
+    std::vector<uint8_t> bytes = res.artifact.serialize();
+    std::string path = writeTemp(bytes, "edkm_test_tiles.edkm");
+
+    auto reader = serve::ArtifactReader::open(path);
+    serve::InferenceEngine e1(reader), e2(reader);
+    int64_t tile_bytes = 0;
+    int tiled = 0;
+    for (const api::TensorSection &s : reader->sections()) {
+        if (s.codec != api::Codec::kPalettized) {
+            continue;
+        }
+        const PaletteTiles *t1 = e1.palette(s.name).tiles.get();
+        ASSERT_NE(t1, nullptr) << s.name;
+        EXPECT_EQ(t1, e2.palette(s.name).tiles.get()) << s.name;
+        EXPECT_EQ(t1, reader->paletteView(s.name).tiles.get()) << s.name;
+        EXPECT_EQ(static_cast<int64_t>(t1->size()),
+                  kernels::paletteTileBytes(s.shape[0], s.shape[1],
+                                            s.bits))
+            << s.name;
+        tile_bytes += static_cast<int64_t>(t1->size());
+        ++tiled;
+    }
+    EXPECT_GT(tiled, 0);
+    EXPECT_EQ(reader->tileBytes(), tile_bytes);
+
+    // Lazy mode tiles unverified bytes at open without failing it: a
+    // corrupt header leaves its section untiled, a corrupt index byte
+    // is caught by the checksum on the first view; the section is named
+    // either way and the rest still serves with tiles.
+    const api::TensorSection *pal = nullptr;
+    const api::TensorSection *other = nullptr;
+    for (const api::TensorSection &s : reader->sections()) {
+        if (s.codec == api::Codec::kPalettized) {
+            (pal == nullptr ? pal : other) = &s;
+        }
+    }
+    ASSERT_NE(other, nullptr);
+    for (int64_t pos : {int64_t{0}, pal->bytes - 1}) {
+        std::vector<uint8_t> bad = bytes;
+        bad[static_cast<size_t>(pal->offset + pos)] ^= 0x10;
+        std::string bad_path = writeTemp(bad, "edkm_test_tiles_bad.edkm");
+        auto lazy =
+            serve::ArtifactReader::open(bad_path, serve::VerifyMode::kLazy);
+        EXPECT_EQ(lazy->sectionsVerified(), 0);
+        try {
+            lazy->paletteView(pal->name);
+            FAIL() << pal->name << " byte " << pos << " served lazily";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + pal->name + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_NE(lazy->paletteView(other->name).tiles, nullptr);
+        std::remove(bad_path.c_str());
+    }
+    std::remove(path.c_str());
+
+    Rng rng(29);
+    PalettizedTensor p =
+        PalettizedTensor::fromDense(Tensor::randn({20, 12}, rng), 3, rng);
+    ASSERT_NE(p.tiles(), nullptr);
+    EXPECT_EQ(viewOf(p).tiles.get(), p.tiles().get());
+    EXPECT_EQ(viewOf(p).tiles.get(), viewOf(p).tiles.get());
+    PalettizedTensor copy = p;
+    EXPECT_EQ(viewOf(copy).tiles.get(), p.tiles().get());
+    EXPECT_EQ(*PalettizedTensor::deserialize(p.serialize()).tiles(),
+              *p.tiles());
+}
+
 TEST(Reader, ViewsKeepTheMappingAliveAfterTheReaderDies)
 {
     nn::MiniLlama model = tinyModel();
