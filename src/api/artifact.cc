@@ -148,7 +148,6 @@ ModelArtifact::reconstruct() const
 
 namespace {
 
-constexpr uint64_t kArtifactMagicV1 = 0x314c444d4d4b4445ull; // "EDKMMDL1"
 constexpr uint64_t kArtifactMagicV2 = 0x324c444d4d4b4445ull; // "EDKMMDL2"
 
 /** Round @p x up to the container alignment. */
@@ -159,9 +158,9 @@ alignUp(int64_t x)
 }
 
 /**
- * Metadata common to a v1 entry and a v2 manifest record, validated on
- * read: codec range, bits range, rank/dimension sanity, element-count
- * overflow. @p where names the failing entry in errors.
+ * Metadata of one v2 manifest record, validated on read: codec range,
+ * bits range, rank/dimension sanity, element-count overflow. @p where
+ * names the failing entry in errors.
  */
 struct EntryMeta
 {
@@ -260,17 +259,6 @@ isArtifactV2(const uint8_t *data, size_t size)
     uint64_t magic;
     std::memcpy(&magic, data, sizeof(magic));
     return magic == kArtifactMagicV2;
-}
-
-bool
-isArtifactV1(const uint8_t *data, size_t size)
-{
-    if (size < sizeof(uint64_t)) {
-        return false;
-    }
-    uint64_t magic;
-    std::memcpy(&magic, data, sizeof(magic));
-    return magic == kArtifactMagicV1;
 }
 
 ArtifactLayout
@@ -526,70 +514,29 @@ ModelArtifact::serialize(bool with_checksums) const
     return buf;
 }
 
-std::vector<uint8_t>
-ModelArtifact::serializeV1() const
-{
-    std::vector<uint8_t> buf;
-    serial::appendPod(buf, kArtifactMagicV1);
-    appendManifestHead(buf, *this);
-    serial::appendPod(buf, static_cast<uint32_t>(entries.size()));
-    for (const ArtifactEntry &e : entries) {
-        appendEntryMeta(buf, e);
-        serial::appendBytes(buf, e.payload);
-    }
-    return buf;
-}
-
 ModelArtifact
 ModelArtifact::deserialize(serial::ByteSpan bytes)
 {
-    if (isArtifactV2(bytes.data, bytes.size)) {
-        ArtifactLayout layout =
-            parseArtifactLayout(bytes.data, bytes.size);
-        ModelArtifact a;
-        a.scheme = layout.scheme;
-        a.config = layout.config;
-        a.size = layout.size;
-        a.entries.reserve(layout.sections.size());
-        for (const TensorSection &s : layout.sections) {
-            // Eager tooling path: verify every checksummed payload
-            // before it is copied (v2.0 layouts have none to verify).
-            verifyArtifactSection(layout, s, bytes.data);
-            ArtifactEntry e;
-            e.name = s.name;
-            e.codec = s.codec;
-            e.bits = s.bits;
-            e.shape = s.shape;
-            e.payload.assign(bytes.data + s.offset,
-                             bytes.data + s.offset + s.bytes);
-            a.entries.push_back(std::move(e));
-        }
-        return a;
-    }
-
-    // Legacy v1 stream, gated on its magic.
-    size_t at = 0;
-    EDKM_CHECK(serial::readPod<uint64_t>(bytes, at) == kArtifactMagicV1,
-               "ModelArtifact::deserialize: bad magic (not an eDKM "
-               "model artifact)");
+    // Any magic but v2's (a legacy v1 stream included) fails here.
+    ArtifactLayout layout = parseArtifactLayout(bytes.data, bytes.size);
     ModelArtifact a;
-    readManifestHead(bytes, at, a.scheme, a.config, a.size,
-                     "ModelArtifact::deserialize");
-    uint32_t n = serial::readPod<uint32_t>(bytes, at);
-    a.entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        EntryMeta m =
-            readEntryMeta(bytes, at, "ModelArtifact::deserialize");
+    a.scheme = layout.scheme;
+    a.config = layout.config;
+    a.size = layout.size;
+    a.entries.reserve(layout.sections.size());
+    for (const TensorSection &s : layout.sections) {
+        // Eager tooling path: verify every checksummed payload before
+        // it is copied (v2.0 layouts have none to verify).
+        verifyArtifactSection(layout, s, bytes.data);
         ArtifactEntry e;
-        e.name = std::move(m.name);
-        e.codec = m.codec;
-        e.bits = m.bits;
-        e.shape = std::move(m.shape);
-        e.payload = serial::readBytes(bytes, at);
+        e.name = s.name;
+        e.codec = s.codec;
+        e.bits = s.bits;
+        e.shape = s.shape;
+        e.payload.assign(bytes.data + s.offset,
+                         bytes.data + s.offset + s.bytes);
         a.entries.push_back(std::move(e));
     }
-    EDKM_CHECK(at == bytes.size, "ModelArtifact::deserialize: ",
-               bytes.size - at, " trailing bytes");
     return a;
 }
 

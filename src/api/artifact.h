@@ -12,13 +12,13 @@
  * left behind: every codec decodes to exactly the tensor the adapter
  * installed.
  *
- * On-disk container (v2, the default; see docs/artifact_v2.md): a
+ * On-disk container (v2, the only one; see docs/artifact_v2.md): a
  * 64-byte header, a manifest describing every tensor, a section table,
  * then one 64-byte-aligned payload section per tensor. The layout is
  * mmap-friendly — serve/ArtifactReader maps the file read-only and
  * consumes payload sections in place, without the up-front dense decode
- * this class's reconstruct() performs. v1 (the legacy single-stream
- * format) stays readable behind a version gate; serialize() emits v2.
+ * this class's reconstruct() performs. Only v2 loads: any other magic,
+ * the old v1 single-stream format's included, fails.
  *
  * The manifest's SizeReport is *accounting* (deployed bytes at the
  * scheme's storage format); the container itself trades a few bytes
@@ -52,7 +52,6 @@ enum class Codec : uint32_t {
 std::string codecName(Codec codec);
 
 /** Container format versions understood by deserialize/load. */
-constexpr uint32_t kArtifactVersionV1 = 1;
 constexpr uint32_t kArtifactVersionV2 = 2;
 
 /** Alignment of the v2 section table and every payload section. */
@@ -138,9 +137,6 @@ struct ArtifactLayout
 /** True when @p data starts with the v2 container magic. */
 bool isArtifactV2(const uint8_t *data, size_t size);
 
-/** True when @p data starts with the legacy v1 stream magic. */
-bool isArtifactV1(const uint8_t *data, size_t size);
-
 /**
  * Parse and validate a v2 container's header, manifest and section
  * table from @p data (the whole file, typically an mmap). Throws
@@ -190,15 +186,13 @@ class ModelArtifact
      * v2 container — by default v2.1, with a per-section checksum
      * table appended and flagged in the header; pass
      * @p with_checksums=false for a plain v2.0 file (compat tooling
-     * and the format tests). serializeV1() emits the legacy v1 stream
-     * (kept for compatibility tests and old tooling). deserialize()
-     * accepts all three, gated on the magic; checksums, when present,
-     * are verified (every section) before any payload is decoded. The
+     * and the format tests). deserialize() accepts both and rejects
+     * any other magic; checksums, when present, are verified (every
+     * section) before any payload is decoded. The
      * span overload parses in place (e.g. straight from a file
      * mapping), copying only payloads.
      */
     std::vector<uint8_t> serialize(bool with_checksums = true) const;
-    std::vector<uint8_t> serializeV1() const;
     static ModelArtifact deserialize(serial::ByteSpan bytes);
     static ModelArtifact deserialize(const std::vector<uint8_t> &bytes)
     {

@@ -293,74 +293,6 @@ InferenceEngine::prefill(const Tensor &tokens, KvCache &kv)
 }
 
 Variable
-InferenceEngine::attentionStepForward(int64_t layer, const Variable &x,
-                                      KvCache &kv)
-{
-    int64_t dim = config().dim;
-    int64_t pos = kv.position();
-    std::string p = "blocks." + std::to_string(layer) + ".attn.";
-
-    // Project and split heads exactly as the full forward does for a
-    // [1, 1, D] input.
-    Variable q = splitHeads(p + "wq", x, 1, 1);
-    Variable k = splitHeads(p + "wk", x, 1, 1);
-    Variable v = splitHeads(p + "wv", x, 1, 1);
-
-    // RoPE rows are a pure function of the position: row pos of any
-    // table of length > pos matches the full forward's bit for bit.
-    Tensor cos_row = dec_cos_.slice(0, pos, pos + 1);
-    Tensor sin_row = dec_sin_.slice(0, pos, pos + 1);
-    q = af::rope(q, cos_row, sin_row);
-    k = af::rope(k, cos_row, sin_row);
-
-    kv.write(layer, k.data(), v.data());
-    Tensor ctx =
-        nn::attentionStep(q.data(), kv.k(layer), kv.v(layer), pos);
-    // [H, 1, hd] is (h, hd)-major — the same order the full forward's
-    // transpose+merge produces for one position row.
-    Variable out =
-        linearForward(p + "wo", af::view(af::constant(ctx), {1, dim}));
-    return af::view(out, {1, 1, dim});
-}
-
-Variable
-InferenceEngine::blockStep(int64_t layer, const Variable &x, KvCache &kv)
-{
-    int64_t d = config().dim;
-    std::string p = "blocks." + std::to_string(layer) + ".";
-    Variable h = af::add(
-        x, attentionStepForward(layer, rmsNorm(x, p + "norm1.weight"),
-                                kv));
-    Variable flat = af::view(rmsNorm(h, p + "norm2.weight"), {1, d});
-    Variable gate = af::silu(linearForward(p + "mlp.w1", flat));
-    Variable up = linearForward(p + "mlp.w3", flat);
-    Variable m = linearForward(p + "mlp.w2", af::mul(gate, up));
-    return af::add(h, af::view(m, {1, 1, d}));
-}
-
-Tensor
-InferenceEngine::decodeStep(int64_t token, KvCache &kv)
-{
-    NoGradGuard ng;
-    EDKM_CHECK(kv.position() >= 1,
-               "InferenceEngine: decodeStep needs a prefilled cache");
-    EDKM_CHECK(token >= 0 && token < config().vocab,
-               "InferenceEngine: token ", token, " outside the vocab");
-    ensureDecodeRope(kv.position() + 1);
-    Tensor tok = Tensor::fromIndices({token}, {1});
-    Variable h = af::view(embed(tok), {1, 1, config().dim});
-    for (int64_t l = 0; l < config().layers; ++l) {
-        h = blockStep(l, h, kv);
-    }
-    h = rmsNorm(h, "final_norm.weight");
-    h = af::view(h, {1, config().dim});
-    Tensor logits = linearForward("lm_head", h).data();
-    kv.advance(1);
-    ++stats_.decodeSteps;
-    return logits;
-}
-
-Variable
 InferenceEngine::attentionChunkForward(int64_t layer, const Variable &x,
                                        KvCache &kv)
 {
@@ -514,8 +446,26 @@ InferenceEngine::blockStepBatch(int64_t layer, const Variable &x,
 }
 
 Tensor
+InferenceEngine::decodeStep(int64_t token, KvCache &kv)
+{
+    Tensor logits = decodeRows({token}, {&kv});
+    ++stats_.decodeSteps;
+    return logits;
+}
+
+Tensor
 InferenceEngine::decodeStepBatch(const std::vector<int64_t> &tokens,
                                  const std::vector<KvCache *> &kvs)
+{
+    Tensor logits = decodeRows(tokens, kvs);
+    ++stats_.batchedSteps;
+    stats_.batchedTokens += static_cast<int64_t>(tokens.size());
+    return logits;
+}
+
+Tensor
+InferenceEngine::decodeRows(const std::vector<int64_t> &tokens,
+                            const std::vector<KvCache *> &kvs)
 {
     NoGradGuard ng;
     int64_t bsz = static_cast<int64_t>(tokens.size());
@@ -528,8 +478,8 @@ InferenceEngine::decodeStepBatch(const std::vector<int64_t> &tokens,
         EDKM_CHECK(kvs[i] != nullptr,
                    "InferenceEngine: null KV cache in decode batch");
         EDKM_CHECK(kvs[i]->position() >= 1,
-                   "InferenceEngine: decodeStepBatch needs prefilled "
-                   "caches");
+                   "InferenceEngine: a decode step needs a prefilled "
+                   "cache");
         EDKM_CHECK(tokens[i] >= 0 && tokens[i] < config().vocab,
                    "InferenceEngine: token ", tokens[i],
                    " outside the vocab");
@@ -552,8 +502,6 @@ InferenceEngine::decodeStepBatch(const std::vector<int64_t> &tokens,
     for (KvCache *kv : kvs) {
         kv->advance(1);
     }
-    ++stats_.batchedSteps;
-    stats_.batchedTokens += bsz;
     return logits;
 }
 

@@ -100,7 +100,8 @@ struct EngineConfig
      * prefill forward, then every new token costs a single-position
      * decode step instead of a full-prefix recompute. Logits — and so
      * the sampled tokens — are bit-identical either way; turn this off
-     * only to measure the O(t)-per-token baseline.
+     * only to measure the O(t)-per-token baseline. Read by generate()
+     * only: serve::Server's step loops always decode through the cache.
      */
     bool kvCacheDecode = true;
 
@@ -219,7 +220,9 @@ class InferenceEngine
      * Incremental decode of one token at position kv.position():
      * appends its K/V rows to @p kv and returns the [1, vocab] logits —
      * bit-identical to the last row of forward() over the whole prefix.
-     * @p kv must hold at least one position (prefill first).
+     * @p kv must hold at least one position (prefill first). It is the
+     * one-row decodeStepBatch (the same forward), counted in
+     * EngineStats::decodeSteps rather than batchedSteps.
      */
     Tensor decodeStep(int64_t token, KvCache &kv);
 
@@ -290,9 +293,6 @@ class InferenceEngine
     Variable attentionForward(int64_t layer, const Variable &x,
                               KvCache *kv);
     Variable blockForward(int64_t layer, const Variable &x, KvCache *kv);
-    Variable attentionStepForward(int64_t layer, const Variable &x,
-                                  KvCache &kv);
-    Variable blockStep(int64_t layer, const Variable &x, KvCache &kv);
     Variable attentionChunkForward(int64_t layer, const Variable &x,
                                    KvCache &kv);
     Variable blockChunk(int64_t layer, const Variable &x, KvCache &kv);
@@ -300,6 +300,9 @@ class InferenceEngine
                                 const std::vector<KvCache *> &kvs);
     Variable blockStepBatch(int64_t layer, const Variable &x,
                             const std::vector<KvCache *> &kvs);
+    /** decodeStep/decodeStepBatch's shared forward (no stats). */
+    Tensor decodeRows(const std::vector<int64_t> &tokens,
+                      const std::vector<KvCache *> &kvs);
     Tensor forwardImpl(const Tensor &tokens, KvCache *kv);
     Response generateCached(const Request &request);
     Response generateRecompute(const Request &request);

@@ -100,57 +100,27 @@ ArtifactReader::open(const std::string &path, VerifyMode verify)
     auto r = std::shared_ptr<ArtifactReader>(new ArtifactReader());
     r->file_bytes_ = static_cast<int64_t>(mapping->size());
     r->verify_ = verify;
-    if (api::isArtifactV2(mapping->data(), mapping->size())) {
-        r->version_ = api::kArtifactVersionV2;
-        // The header/manifest/section-table digest is checked inside
-        // the parse whenever the file carries one, in every mode —
-        // it is a handful of KB against the payload gigabytes, and a
-        // corrupt section table must never direct payload reads.
-        r->layout_ =
-            api::parseArtifactLayout(mapping->data(), mapping->size());
-        r->mapping_ = std::move(mapping);
-        r->buildIndex();
-        if (r->layout_.hasChecksums && verify != VerifyMode::kOff) {
-            r->verified_ = std::make_unique<std::atomic<bool>[]>(
-                r->layout_.sections.size());
-            for (size_t i = 0; i < r->layout_.sections.size(); ++i) {
-                r->verified_[i].store(false,
-                                      std::memory_order_relaxed);
-            }
-            if (verify == VerifyMode::kEager) {
-                r->verifyAll();
-            }
-        }
-        r->buildTiles();
-        return r;
-    }
-    EDKM_CHECK(api::isArtifactV1(mapping->data(), mapping->size()),
+    EDKM_CHECK(api::isArtifactV2(mapping->data(), mapping->size()),
                "artifact reader: ", path,
-               " is not an eDKM model artifact (bad magic)");
-    // v1 compat: deserialize straight from the mapping (payloads are
-    // interleaved with the manifest, so they cannot be borrowed in
-    // place — they are copied into compat_ and the mapping dropped);
-    // views then borrow from the in-memory artifact, which the reader
-    // and every view keep alive.
-    r->version_ = api::kArtifactVersionV1;
-    r->compat_ = std::make_shared<api::ModelArtifact>(
-        api::ModelArtifact::deserialize(
-            serial::ByteSpan(mapping->data(), mapping->size())));
-    mapping.reset();
-    r->layout_.scheme = r->compat_->scheme;
-    r->layout_.config = r->compat_->config;
-    r->layout_.size = r->compat_->size;
-    for (const api::ArtifactEntry &e : r->compat_->entries) {
-        api::TensorSection s;
-        s.name = e.name;
-        s.codec = e.codec;
-        s.bits = e.bits;
-        s.shape = e.shape;
-        s.offset = 0; // payloads live in compat_, not at file offsets
-        s.bytes = e.payloadBytes();
-        r->layout_.sections.push_back(std::move(s));
-    }
+               " is not an eDKM v2 model artifact (bad magic)");
+    r->version_ = api::kArtifactVersionV2;
+    // The header/manifest/section-table digest is checked inside the
+    // parse whenever the file carries one, in every mode — it is a
+    // handful of KB against the payload gigabytes, and a corrupt
+    // section table must never direct payload reads.
+    r->layout_ = api::parseArtifactLayout(mapping->data(), mapping->size());
+    r->mapping_ = std::move(mapping);
     r->buildIndex();
+    if (r->layout_.hasChecksums && verify != VerifyMode::kOff) {
+        r->verified_ = std::make_unique<std::atomic<bool>[]>(
+            r->layout_.sections.size());
+        for (size_t i = 0; i < r->layout_.sections.size(); ++i) {
+            r->verified_[i].store(false, std::memory_order_relaxed);
+        }
+        if (verify == VerifyMode::kEager) {
+            r->verifyAll();
+        }
+    }
     r->buildTiles();
     return r;
 }
@@ -220,9 +190,6 @@ ArtifactReader::section(const std::string &name) const
 const uint8_t *
 ArtifactReader::rawPayload(const api::TensorSection &s) const
 {
-    if (compat_ != nullptr) {
-        return compat_->entry(s.name).payload.data();
-    }
     return mapping_->data() + s.offset;
 }
 
@@ -232,8 +199,7 @@ ArtifactReader::payload(const api::TensorSection &s) const
     // Lazy mode: the first view of a section pays for its checksum
     // right here, before anyone consumes the bytes. Eager mode already
     // verified at open; off mode (or a checksum-less file) never does.
-    if (compat_ == nullptr && verified_ != nullptr &&
-        verify_ == VerifyMode::kLazy) {
+    if (verified_ != nullptr && verify_ == VerifyMode::kLazy) {
         verifySection(s);
     }
     return rawPayload(s);
@@ -269,9 +235,6 @@ ArtifactReader::verifyAll() const
 std::shared_ptr<const void>
 ArtifactReader::keepAlive() const
 {
-    if (compat_ != nullptr) {
-        return compat_;
-    }
     return mapping_;
 }
 
@@ -332,9 +295,6 @@ ArtifactReader::decode(const std::string &name) const
 api::ModelArtifact
 ArtifactReader::toArtifact() const
 {
-    if (compat_ != nullptr) {
-        return *compat_;
-    }
     api::ModelArtifact a;
     a.scheme = layout_.scheme;
     a.config = layout_.config;

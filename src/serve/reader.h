@@ -24,12 +24,9 @@
  * first payload() view from whichever thread gets there first, kOff
  * trusts the bytes. The EDKM_VERIFY=eager|lazy|off environment knob
  * selects the mode for the env-driven open(); a corruption error
- * always names the bad section. Files without checksums (v2.0, v1)
- * skip payload verification entirely.
- *
- * Legacy v1 files load through the compatibility path (whole-stream
- * deserialize); views then borrow from the in-memory artifact instead
- * of a mapping, with the same lifetime guarantees.
+ * always names the bad section. Files without checksums (v2.0) skip
+ * payload verification entirely. Any other magic, the retired v1
+ * stream's included, fails open().
  */
 
 #ifndef EDKM_SERVE_READER_H_
@@ -51,7 +48,7 @@ namespace serve {
 
 /**
  * A read-only byte source for one artifact file: an mmap-ed range or a
- * heap copy (fallback / v1 compat). Borrowed storages hold it via
+ * heap copy (read fallback). Borrowed storages hold it via
  * shared_ptr, so views outlive the reader safely.
  */
 class FileMapping
@@ -93,10 +90,10 @@ class ArtifactReader
 {
   public:
     /**
-     * Open @p path. v2 containers are validated (header, manifest,
-     * section table) without touching payload bytes; v1 files are
-     * deserialized whole. Throws FatalError with the offending section
-     * named on any corruption. The verify mode is read from
+     * Open @p path. The v2 container is validated (header, manifest,
+     * section table) without touching payload bytes. Throws FatalError
+     * on a bad magic, and with the offending section named on any
+     * corruption. The verify mode is read from
      * EDKM_VERIFY (eager|lazy|off; unset/empty means lazy; anything
      * else throws).
      */
@@ -123,7 +120,7 @@ class ArtifactReader
      *  does at open). No-op without checksums or in kOff. */
     void verifyAll() const;
 
-    /** Container version of the underlying file (1 or 2). */
+    /** Container version of the underlying file (always 2). */
     uint32_t version() const { return version_; }
 
     /** True when payloads are served from an actual file mapping. */
@@ -211,10 +208,7 @@ class ArtifactReader
      *  every later view from paying for it again. */
     mutable std::unique_ptr<std::atomic<bool>[]> verified_;
     mutable std::atomic<int64_t> verified_count_{0};
-    /** The v2 mapping; null for v1 files (payloads live in compat_). */
     std::shared_ptr<FileMapping> mapping_;
-    /** v1 compat: payloads live here instead of in the mapping. */
-    std::shared_ptr<api::ModelArtifact> compat_;
     /** Tiled indices per section (by index; null when not tiled). */
     std::vector<std::shared_ptr<const PaletteTiles>> tiles_;
     int64_t tile_bytes_ = 0;

@@ -364,28 +364,77 @@ BatchScheduler::prefixStats() const
     return prefix_ != nullptr ? prefix_->stats() : PrefixCacheStats{};
 }
 
-std::string
-BatchScheduler::statsJson() const
+SchedulerSnapshot
+BatchScheduler::snapshot() const
 {
-    PrefixCacheStats px = prefixStats();
+    SchedulerSnapshot snap;
+    snap.stats = stats_;
+    snap.prefix = prefixStats();
+    snap.prefixEnabled = prefix_ != nullptr;
+    snap.active = active();
+    return snap;
+}
+
+void
+SchedulerSnapshot::merge(const SchedulerSnapshot &other)
+{
+    SchedulerStats &s = stats;
+    const SchedulerStats &o = other.stats;
+    s.admitted += o.admitted;
+    s.completed += o.completed;
+    s.failed += o.failed;
+    s.deadlineEvicted += o.deadlineEvicted;
+    s.released += o.released;
+    s.steps += o.steps;
+    s.decodedTokens += o.decodedTokens;
+    s.prefillChunks += o.prefillChunks;
+    s.prefillTokens += o.prefillTokens;
+    s.peakBatch = std::max(s.peakBatch, o.peakBatch);
+    if (s.batchHistogram.size() < o.batchHistogram.size()) {
+        s.batchHistogram.resize(o.batchHistogram.size(), 0);
+    }
+    for (size_t b = 0; b < o.batchHistogram.size(); ++b) {
+        s.batchHistogram[b] += o.batchHistogram[b];
+    }
+    PrefixCacheStats &p = prefix;
+    const PrefixCacheStats &q = other.prefix;
+    p.hits += q.hits;
+    p.misses += q.misses;
+    p.reusedTokens += q.reusedTokens;
+    p.insertions += q.insertions;
+    p.rejected += q.rejected;
+    p.evictions += q.evictions;
+    p.evictedBytes += q.evictedBytes;
+    p.bytes += q.bytes;
+    p.entries += q.entries;
+    p.generation = std::max(p.generation, q.generation);
+    p.generationFlushes += q.generationFlushes;
+    prefixEnabled = prefixEnabled || other.prefixEnabled;
+    active += other.active;
+}
+
+std::string
+SchedulerSnapshot::json() const
+{
+    const PrefixCacheStats &px = prefix;
     std::ostringstream os;
-    os << "{\"admitted\": " << stats_.admitted
-       << ", \"completed\": " << stats_.completed
-       << ", \"failed\": " << stats_.failed
-       << ", \"deadline_evicted\": " << stats_.deadlineEvicted
-       << ", \"released\": " << stats_.released
-       << ", \"active\": " << active()
-       << ", \"decode_steps\": " << stats_.steps
-       << ", \"decoded_tokens\": " << stats_.decodedTokens
-       << ", \"prefill_chunks\": " << stats_.prefillChunks
-       << ", \"prefill_tokens\": " << stats_.prefillTokens
-       << ", \"peak_batch\": " << stats_.peakBatch
+    os << "{\"admitted\": " << stats.admitted
+       << ", \"completed\": " << stats.completed
+       << ", \"failed\": " << stats.failed
+       << ", \"deadline_evicted\": " << stats.deadlineEvicted
+       << ", \"released\": " << stats.released
+       << ", \"active\": " << active
+       << ", \"decode_steps\": " << stats.steps
+       << ", \"decoded_tokens\": " << stats.decodedTokens
+       << ", \"prefill_chunks\": " << stats.prefillChunks
+       << ", \"prefill_tokens\": " << stats.prefillTokens
+       << ", \"peak_batch\": " << stats.peakBatch
        << ", \"batch_histogram\": [";
-    for (size_t b = 1; b < stats_.batchHistogram.size(); ++b) {
-        os << (b == 1 ? "" : ", ") << stats_.batchHistogram[b];
+    for (size_t b = 1; b < stats.batchHistogram.size(); ++b) {
+        os << (b == 1 ? "" : ", ") << stats.batchHistogram[b];
     }
     os << "], \"prefix_cache\": {\"enabled\": "
-       << (prefix_ != nullptr ? "true" : "false")
+       << (prefixEnabled ? "true" : "false")
        << ", \"hits\": " << px.hits << ", \"misses\": " << px.misses
        << ", \"reused_tokens\": " << px.reusedTokens
        << ", \"insertions\": " << px.insertions

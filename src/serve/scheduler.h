@@ -16,9 +16,9 @@
  *        (InferenceEngine::decodeStepBatch), so the weight matrices
  *        are read once per step instead of once per request.
  *
- * Admission happens between steps: the caller (serve::Server's batched
- * mode, or the synchronous run() helper) admits new requests whenever
- * hasCapacity() — slots are capped at SchedulerConfig::maxBatch.
+ * Admission happens between steps: the caller (one of serve::Server's
+ * step loops, or the synchronous run() helper) admits new requests
+ * whenever hasCapacity() — slots are capped at SchedulerConfig::maxBatch.
  * On admission, the shared PrefixCache is probed: a request whose
  * prompt head was banked by an earlier request restores those KV rows
  * and prefills only the divergent tail; completed prefills bank their
@@ -39,8 +39,7 @@
  * deliver the exception through the request's completion callback —
  * the step loop itself never wedges.
  *
- * Not thread-safe: one thread owns the scheduler (serve::Server's
- * batched mode runs exactly one step-loop thread).
+ * Not thread-safe: one thread per scheduler; the Server runs K of them.
  */
 
 #ifndef EDKM_SERVE_SCHEDULER_H_
@@ -120,6 +119,26 @@ struct SchedulerStats
     std::vector<int64_t> batchHistogram;
 };
 
+/**
+ * One scheduler's counters at an instant — what statsJson() prints.
+ * serve::Server keeps one per step loop and merges them into the one
+ * "scheduler" block of its metrics.
+ */
+struct SchedulerSnapshot
+{
+    SchedulerStats stats;
+    PrefixCacheStats prefix; ///< zeros when the cache is disabled
+    bool prefixEnabled = false;
+    int64_t active = 0; ///< requests in flight
+
+    /** Fold @p other in: counters, batch histogram and prefix-cache
+     *  counts add; peakBatch and the prefix generation take the max. */
+    void merge(const SchedulerSnapshot &other);
+
+    /** The counters as a JSON object string, the shape benches emit. */
+    std::string json() const;
+};
+
 class BatchScheduler
 {
   public:
@@ -186,9 +205,11 @@ class BatchScheduler
     /** Prefix-cache counters (zeros when disabled). */
     PrefixCacheStats prefixStats() const;
 
-    /** All counters (incl. prefix cache) as a JSON object string, the
-     *  shape benches emit. */
-    std::string statsJson() const;
+    /** All counters, prefix cache included. */
+    SchedulerSnapshot snapshot() const;
+
+    /** snapshot() as a JSON object string. */
+    std::string statsJson() const { return snapshot().json(); }
 
   private:
     struct Slot

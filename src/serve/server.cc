@@ -27,119 +27,112 @@ Server::Server(std::shared_ptr<const ArtifactReader> reader,
     : config_(config), reader_(std::move(reader))
 {
     EDKM_CHECK(reader_ != nullptr, "Server: null reader");
-    if (config_.batched) {
-        // One engine, one step-loop thread. The loop is a plain
-        // std::thread — never a pool worker — so engine-internal
-        // parallelFor still fans out across the runtime pool.
-        engines_.push_back(std::make_unique<InferenceEngine>(
-            reader_, config_.engine));
-        scheduler_ = std::make_unique<BatchScheduler>(
-            *engines_.front(), config_.scheduler);
-        sched_json_ = scheduler_->statsJson();
-        // lint:allow(raw-thread) the dedicated step loop (see the
-        // matching note on the loop_ member).
-        loop_ = std::thread([this] { batchLoop(); });
-        return;
+    // The loop shape: the only place `batched` is read.
+    int loops = 1;
+    SchedulerConfig sched = config_.scheduler;
+    mode_ = "batched";
+    if (!config_.batched) {
+        EDKM_CHECK(config_.threads >= 1, "Server: need at least one "
+                                         "thread, got ",
+                   config_.threads);
+        loops = config_.threads;
+        sched = SchedulerConfig{};
+        sched.maxBatch = 1;
+        sched.kvCapacity = config_.engine.kvCapacity;
+        mode_ = "threaded";
     }
-    EDKM_CHECK(config_.threads >= 1, "Server: need at least one thread, "
-                                     "got ",
-               config_.threads);
-    engines_.reserve(static_cast<size_t>(config_.threads));
-    free_.reserve(static_cast<size_t>(config_.threads));
-    for (int i = 0; i < config_.threads; ++i) {
-        engines_.push_back(std::make_unique<InferenceEngine>(
-            reader_, config_.engine));
-        free_.push_back(i);
+    states_.resize(static_cast<size_t>(loops));
+    for (int i = 0; i < loops; ++i) {
+        Loop l;
+        l.engine = std::make_unique<InferenceEngine>(reader_, config_.engine);
+        l.scheduler = std::make_unique<BatchScheduler>(*l.engine, sched);
+        states_[static_cast<size_t>(i)].stats = l.scheduler->snapshot();
+        loops_.push_back(std::move(l));
     }
-    engine_gen_.assign(static_cast<size_t>(config_.threads), 0);
-    // threads workers + the constructing thread as the extra forChunks
-    // lane; submitted jobs only ever run on the workers, so at most
-    // `threads` requests execute concurrently — one engine each.
-    pool_ = std::make_unique<runtime::ThreadPool>(config_.threads + 1);
+    // One worker per loop plus the constructing thread's lane; the
+    // loops are long-lived jobs, so each holds its worker until the
+    // destructor stops it.
+    pool_ = std::make_unique<runtime::ThreadPool>(loops + 1);
+    for (size_t i = 0; i < loops_.size(); ++i) {
+        jobs_.push_back(pool_->submit([this, i] { loop(i); }));
+    }
 }
 
 Server::~Server()
 {
-    if (config_.batched) {
-        // Drain: the loop exits only once the queue is empty and no
-        // slot is in flight, so every submitted ticket completes (or
-        // was cancelled by release()) before the members die.
-        {
-            util::MutexLock lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        loop_.join();
-        return;
+    // Drain: a loop exits only once the queue is empty and none of its
+    // slots is in flight, so every submitted ticket completes (or was
+    // cancelled by release()) before the members die.
+    {
+        util::MutexLock lock(mutex_);
+        stop_ = true;
     }
-    // pool_ is the last-declared member: its destructor runs first and
-    // drains every queued job while records_/engines_ are still alive.
+    cv_.notify_all();
+    for (std::future<void> &job : jobs_) {
+        job.wait();
+    }
 }
 
 void
-Server::batchLoop()
+Server::loop(size_t i) noexcept
 {
+    BatchScheduler &sched = *loops_[i].scheduler;
     util::MutexLock lock(mutex_);
+    // states_ is sized once by the constructor: the reference is stable
+    // and only used under mutex_.
+    LoopState &me = states_[i];
     for (;;) {
         // Sleep only when idle: while a slot is in flight (or a swap
-        // awaits its cutover) the predicate stays true and the loop
-        // keeps stepping without waiting. Spelled as an explicit
+        // awaits this loop's cutover) the predicate stays true and the
+        // loop keeps stepping without waiting. Spelled as an explicit
         // predicate loop so the guarded reads are checked under the
         // lock the analysis sees held.
-        while (!(stop_ || !queue_.empty() || scheduler_->busy() ||
-                 loop_gen_ < gen_)) {
+        while (!(stop_ || !queue_.empty() || sched.busy() ||
+                 me.gen < gen_)) {
             cv_.wait(mutex_);
         }
-        if (stop_ && queue_.empty() && !scheduler_->busy()) {
+        if (stop_ && queue_.empty() && !sched.busy()) {
             break;
         }
-        // Generation cutover: every in-flight slot has drained and the
-        // queue head (if any) no longer belongs to the loop's
-        // generation — retarget the scheduler between steps. One
-        // generation per pass; stacked swaps cut over one at a time.
-        if (loop_gen_ < gen_ && !scheduler_->busy()) {
-            bool head_blocks = false;
-            if (!queue_.empty()) {
-                auto it = records_.find(queue_.front());
-                head_blocks = it != records_.end() &&
-                              it->second->generation == loop_gen_;
-            }
+        // Generation cutover: every slot of this loop has drained and
+        // the queue head (if any) no longer belongs to its generation —
+        // retarget the scheduler between steps. One generation per
+        // pass; stacked swaps cut over one at a time. FIFO order means
+        // nothing behind a newer head belongs to an older generation.
+        if (me.gen < gen_ && !sched.busy()) {
+            // Queued ids always have a record: release() of a queued
+            // ticket erases both under one hold.
+            bool head_blocks =
+                !queue_.empty() &&
+                records_.at(queue_.front())->generation == me.gen;
             if (!head_blocks) {
-                auto pit = pending_engines_.begin();
-                EDKM_CHECK(pit != pending_engines_.end(),
-                           "Server: generation ", loop_gen_,
-                           " cutover with no pending engine");
+                auto pit = me.pending.begin();
+                EDKM_CHECK(pit != me.pending.end(), "Server: loop ", i,
+                           " cut over from generation ", me.gen,
+                           " with no pending engine");
                 int64_t g = pit->first;
                 std::unique_ptr<InferenceEngine> next =
                     std::move(pit->second);
-                pending_engines_.erase(pit);
-                scheduler_->swapEngine(*next);
+                me.pending.erase(pit);
+                sched.swapEngine(*next);
                 // The old engine dies here, dropping its pin on the
                 // old mapping; not-yet-released old records hold the
                 // only remaining pins.
-                engines_[0] = std::move(next);
-                loop_gen_ = g;
-                sched_json_ = scheduler_->statsJson();
-                cv_.notify_all(); // swap() waits on loop_gen_
+                loops_[i].engine = std::move(next);
+                me.gen = g;
+                me.stats = sched.snapshot();
+                cv_.notify_all(); // swap() waits on the loops' gen
                 continue;
             }
         }
-        while (!queue_.empty() && scheduler_->hasCapacity()) {
-            RequestId id = queue_.front();
-            auto it = records_.find(id);
-            if (it == records_.end()) {
-                // Cancelled between queueing and admission.
-                queue_.pop_front();
-                continue;
-            }
-            if (it->second->generation != loop_gen_) {
-                // Newer artifact: drain the current slots, cut over,
-                // then admit. FIFO order means nothing behind the head
-                // can belong to the loop's generation either.
+        while (!queue_.empty() && sched.hasCapacity()) {
+            Record *raw = records_.at(queue_.front()).get();
+            if (raw->generation != me.gen) {
+                // Newer artifact: drain this loop's slots, cut over,
+                // then admit.
                 break;
             }
             queue_.pop_front();
-            Record *raw = it->second.get();
             raw->queued = false;
             raw->stats.queueMillis = millisSince(raw->submitted);
             queue_wait_hist_.record(raw->stats.queueMillis);
@@ -150,16 +143,16 @@ Server::batchLoop()
             // its future once `queued` is cleared.
             lock.unlock();
             auto t0 = std::chrono::steady_clock::now();
-            scheduler_->admit(
+            sched.admit(
                 std::move(req),
-                [this, raw, t0](Response &&res, std::exception_ptr err,
-                                const SchedulerRequestStats &st) {
+                [this, raw, i, t0](Response &&res, std::exception_ptr err,
+                                   const SchedulerRequestStats &st) {
                     raw->stats.promptTokens = st.promptTokens;
                     raw->stats.newTokens = st.newTokens;
                     raw->stats.prefillChunks = st.prefillChunks;
                     raw->stats.decodeSteps = st.decodeSteps;
                     raw->stats.reusedPrefixTokens = st.reusedPrefixTokens;
-                    raw->stats.engine = 0;
+                    raw->stats.engine = static_cast<int>(i);
                     raw->stats.millis = millisSince(t0);
                     if (err == nullptr) {
                         raw->response = std::move(res);
@@ -180,102 +173,19 @@ Server::batchLoop()
                 });
             lock.lock();
         }
-        if (scheduler_->busy()) {
+        if (sched.busy()) {
             lock.unlock();
-            scheduler_->step();
+            sched.step();
             lock.lock();
         }
-        // Publish the metrics snapshot under the lock — the only place
-        // scheduler state crosses to other threads (metricsJson()).
-        sched_json_ = scheduler_->statsJson();
+        // Publish the counters under the lock — the only place scheduler
+        // state crosses to other threads (metricsJson()).
+        me.stats = sched.snapshot();
     }
-    // Unblock swap() calls racing the destructor: they check loop_gen_
-    // and fail loudly instead of waiting forever.
-    loop_done_ = true;
+    // Unblock swap() calls racing the destructor: they check the loops'
+    // generations and fail loudly instead of waiting forever.
+    me.done = true;
     cv_.notify_all();
-}
-
-int
-Server::checkoutEngine()
-{
-    util::MutexLock lock(mutex_);
-    // At most `threads` jobs run concurrently (one per pool worker), so
-    // an engine is always free when a job starts.
-    EDKM_CHECK(!free_.empty(),
-               "Server: no free engine (more concurrent jobs than "
-               "workers?)");
-    int idx = free_.back();
-    free_.pop_back();
-    return idx;
-}
-
-void
-Server::checkinEngine(int idx)
-{
-    util::MutexLock lock(mutex_);
-    free_.push_back(idx);
-}
-
-void
-Server::run(Record &rec)
-{
-    {
-        util::MutexLock lock(mutex_);
-        rec.stats.queueMillis = millisSince(rec.submitted);
-        queue_wait_hist_.record(rec.stats.queueMillis);
-    }
-    int idx = checkoutEngine();
-    // One completion path for success and failure: the guard stamps
-    // the timing, returns the engine and counts the request whichever
-    // way generate() exits (exceptions land in the record's future).
-    struct Finish
-    {
-        Server *server;
-        Record *rec;
-        int idx;
-        std::chrono::steady_clock::time_point t0 =
-            std::chrono::steady_clock::now();
-        ~Finish()
-        {
-            rec->stats.millis = millisSince(t0);
-            rec->reader.reset(); // drop the ticket's mapping pin
-            server->checkinEngine(idx);
-            util::MutexLock lock(server->mutex_);
-            ++server->completed_;
-            server->e2e_hist_.record(millisSince(rec->submitted));
-        }
-    } finish{this, &rec, idx};
-
-    // Lazy generation cutover: a ticket stamped with a different
-    // generation than this engine rebuilds it from the ticket's pinned
-    // reader — forward to the artifact new tickets were admitted
-    // against, or back for a straggler submitted before a swap. The
-    // index is checked out exclusively, so the slot is ours to rebuild;
-    // building into a temporary keeps the old engine intact if the
-    // constructor throws. The generation stamps live under mutex_
-    // (swap() scans them), so they are read and written under short
-    // holds, with the expensive engine build in between unlocked.
-    int64_t slot_gen;
-    {
-        util::MutexLock lock(mutex_);
-        slot_gen = engine_gen_[static_cast<size_t>(idx)];
-    }
-    if (slot_gen != rec.generation) {
-        auto fresh = std::make_unique<InferenceEngine>(rec.reader,
-                                                       config_.engine);
-        engines_[static_cast<size_t>(idx)] = std::move(fresh);
-        util::MutexLock lock(mutex_);
-        engine_gen_[static_cast<size_t>(idx)] = rec.generation;
-    }
-
-    rec.stats.engine = idx;
-    rec.stats.promptTokens =
-        static_cast<int64_t>(rec.request.prompt.size());
-    rec.response =
-        engines_[static_cast<size_t>(idx)]->generate(rec.request);
-    rec.stats.newTokens =
-        static_cast<int64_t>(rec.response.tokens.size()) -
-        rec.stats.promptTokens;
 }
 
 Server::RequestId
@@ -290,28 +200,9 @@ Server::submit(Request request)
     rec->cancel = request.cancel;
     rec->request = std::move(request);
     rec->submitted = std::chrono::steady_clock::now();
-    Record *raw = rec.get();
-    if (config_.batched) {
-        // Promise-backed ticket, wired up BEFORE the record is visible:
-        // wait()/release() must always find a valid future.
-        rec->done = rec->promise.get_future().share();
-        rec->queued = true;
-        RequestId id;
-        {
-            util::MutexLock lock(mutex_);
-            id = next_id_++;
-            rec->stats.id = id;
-            rec->generation = gen_;
-            rec->stats.generation = gen_;
-            rec->reader = reader_;
-            records_.emplace(id, std::move(rec));
-            queue_.push_back(id);
-            peak_queue_ = std::max(
-                peak_queue_, static_cast<int64_t>(queue_.size()));
-        }
-        cv_.notify_all();
-        return id;
-    }
+    // Wired up BEFORE the record is visible: wait()/release() must
+    // always find a valid future.
+    rec->done = rec->promise.get_future().share();
     RequestId id;
     {
         util::MutexLock lock(mutex_);
@@ -321,12 +212,11 @@ Server::submit(Request request)
         rec->stats.generation = gen_;
         rec->reader = reader_;
         records_.emplace(id, std::move(rec));
-        // Enqueue under the same hold that published the record: a
-        // concurrent swap()/wait()/release() must never find a record
-        // whose `done` future is still invalid. (ThreadPool::submit
-        // only enqueues, so holding mutex_ here cannot deadlock.)
-        raw->done = pool_->submit([this, raw] { run(*raw); }).share();
+        queue_.push_back(id);
+        peak_queue_ =
+            std::max(peak_queue_, static_cast<int64_t>(queue_.size()));
     }
+    cv_.notify_all();
     return id;
 }
 
@@ -390,9 +280,10 @@ Server::requestStats(RequestId id) const
 void
 Server::release(RequestId id)
 {
-    // Wait for the job (which holds a raw pointer to the record)
-    // outside the lock, erase under it. Releasing an already-released
-    // ticket is a no-op, so concurrent reapers need no coordination.
+    // Wait for the completion callback (which holds a raw pointer to
+    // the record) outside the lock, erase under it. Releasing an
+    // already-released ticket is a no-op, so concurrent reapers need no
+    // coordination.
     std::shared_future<void> done;
     {
         util::MutexLock lock(mutex_);
@@ -400,17 +291,12 @@ Server::release(RequestId id)
         if (it == records_.end()) {
             return;
         }
-        // Batched mode: a ticket still waiting in the queue is
-        // cancelled right here — no scheduler slot was ever taken, so
-        // the step loop needs no notice. Concurrent wait()ers of the
-        // same ticket get the cancellation exception.
+        // A ticket still waiting in the queue is cancelled right here —
+        // no scheduler slot was ever taken, so no loop needs notice.
+        // Concurrent wait()ers of the same ticket get the cancellation
+        // exception.
         if (it->second->queued) {
-            for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
-                if (*qit == id) {
-                    queue_.erase(qit);
-                    break;
-                }
-            }
+            queue_.erase(std::find(queue_.begin(), queue_.end(), id));
             it->second->promise.set_exception(
                 std::make_exception_ptr(Cancelled(
                     "Server: request " + std::to_string(id) +
@@ -427,7 +313,7 @@ Server::release(RequestId id)
         it->second->cancel->requestCancel();
         done = it->second->done;
     }
-    cv_.notify_all(); // wake the step loop to run the eviction
+    cv_.notify_all(); // wake the loops to run the eviction
     done.wait();
     util::MutexLock lock(mutex_);
     records_.erase(id);
@@ -441,74 +327,45 @@ Server::release(const std::vector<RequestId> &ids)
     }
 }
 
+bool
+Server::loopsSettled(int64_t target) const
+{
+    for (const LoopState &st : states_) {
+        if (st.gen < target && !st.done) {
+            return false;
+        }
+    }
+    return true;
+}
+
 void
 Server::swap(std::shared_ptr<const ArtifactReader> next)
 {
     EDKM_CHECK(next != nullptr, "Server: swap to a null reader");
-    // Probe-build an engine first: an artifact that cannot back an
-    // engine (missing sections, bad geometry, failed checksum under
-    // eager verify) fails the swap() call right here, before any
-    // server state changes.
-    auto probe =
-        std::make_unique<InferenceEngine>(next, config_.engine);
-    if (config_.batched) {
-        util::MutexLock lock(mutex_);
-        reader_ = next;
-        int64_t target = ++gen_;
-        // The probe becomes the loop's next engine: the cutover path
-        // never needs a throwing construction.
-        pending_engines_.emplace(target, std::move(probe));
-        cv_.notify_all();
-        while (!(loop_gen_ >= target || loop_done_)) {
-            cv_.wait(mutex_);
-        }
-        EDKM_CHECK(loop_gen_ >= target,
-                   "Server: step loop stopped before the swap to "
-                   "generation ",
-                   target, " cut over");
-        return;
+    // Probe-build every loop's next engine first: an artifact that
+    // cannot back an engine (missing sections, bad geometry, failed
+    // checksum under eager verify) fails the swap() call right here,
+    // before any server state changes — and the cutover itself never
+    // needs a throwing construction.
+    std::vector<std::unique_ptr<InferenceEngine>> probes;
+    for (size_t i = 0; i < loops_.size(); ++i) {
+        probes.push_back(
+            std::make_unique<InferenceEngine>(next, config_.engine));
     }
-    int64_t target;
-    std::vector<std::shared_future<void>> drain;
-    {
-        util::MutexLock lock(mutex_);
-        reader_ = next;
-        target = ++gen_;
-        // New submissions are stamped `target` from here on; collect
-        // every older ticket (completed ones resolve instantly).
-        // lint:allow(unordered-iteration) collection order is
-        // irrelevant — every collected future is waited on below.
-        for (const auto &entry : records_) {
-            if (entry.second->generation < target) {
-                drain.push_back(entry.second->done);
-            }
-        }
-    }
-    // Drain old-generation work outside the lock. Failures already
-    // live in those tickets' futures; a swap does not re-raise them.
-    for (auto &f : drain) {
-        f.wait();
-    }
-    // Rebuild idle engines still wired to an old mapping, so the old
-    // reader's only remaining pins are not-yet-released records.
-    // Checked-out engines belong to newer-generation tickets (all
-    // older ones just drained) and already rebuilt at checkout.
     util::MutexLock lock(mutex_);
-    for (int idx : free_) {
-        if (engine_gen_[static_cast<size_t>(idx)] == gen_) {
-            continue;
-        }
-        // Compare against gen_/reader_, not target/next: a stacked
-        // swap may have moved on, and rebuilding to an intermediate
-        // generation would waste a build.
-        if (probe != nullptr && reader_ == next) {
-            engines_[static_cast<size_t>(idx)] = std::move(probe);
-        } else {
-            engines_[static_cast<size_t>(idx)] =
-                std::make_unique<InferenceEngine>(reader_,
-                                                  config_.engine);
-        }
-        engine_gen_[static_cast<size_t>(idx)] = gen_;
+    reader_ = next;
+    int64_t target = ++gen_;
+    for (size_t i = 0; i < probes.size(); ++i) {
+        states_[i].pending.emplace(target, std::move(probes[i]));
+    }
+    cv_.notify_all();
+    while (!loopsSettled(target)) {
+        cv_.wait(mutex_);
+    }
+    for (const LoopState &st : states_) {
+        EDKM_CHECK(st.gen >= target, "Server: a step loop stopped "
+                                     "before the swap to generation ",
+                   target, " cut over");
     }
 }
 
@@ -522,10 +379,10 @@ Server::generation() const
 const EngineStats &
 Server::engineStats(int i) const
 {
-    int count = static_cast<int>(engines_.size());
+    int count = static_cast<int>(loops_.size());
     EDKM_CHECK(i >= 0 && i < count, "Server: engine index ", i,
                " out of range [0,", count, ")");
-    return engines_[static_cast<size_t>(i)]->stats();
+    return loops_[static_cast<size_t>(i)].engine->stats();
 }
 
 int64_t
@@ -546,7 +403,8 @@ std::string
 Server::metricsJson() const
 {
     int64_t depth, peak, cancelled, completed, generation;
-    std::string sched, queue_wait, e2e;
+    std::string queue_wait, e2e;
+    SchedulerSnapshot sched;
     {
         // Snapshot everything under one hold — counters, histograms
         // and the scheduler block are mutually consistent.
@@ -558,18 +416,19 @@ Server::metricsJson() const
         generation = gen_;
         queue_wait = queue_wait_hist_.json();
         e2e = e2e_hist_.json();
-        sched = scheduler_ != nullptr ? sched_json_ : "null";
+        for (const LoopState &st : states_) {
+            sched.merge(st.stats);
+        }
     }
     std::ostringstream os;
-    os << "{\"mode\": \"" << (config_.batched ? "batched" : "threaded")
-       << "\", \"generation\": " << generation
+    os << "{\"mode\": \"" << mode_ << "\", \"generation\": " << generation
        << ", \"completed\": " << completed
        << ", \"queue_depth\": " << depth
        << ", \"peak_queue_depth\": " << peak
        << ", \"cancelled\": " << cancelled
        << ", \"latency\": {\"queue_wait\": " << queue_wait
        << ", \"e2e\": " << e2e << "}"
-       << ", \"scheduler\": " << sched << "}";
+       << ", \"scheduler\": " << sched.json() << "}";
     return os.str();
 }
 

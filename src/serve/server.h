@@ -2,52 +2,50 @@
  * @file
  * Multi-threaded request serving over one shared ArtifactReader.
  *
- * Two execution modes behind one submit()/wait()/release() surface:
+ * The Server runs every request through K step loops. Each loop owns an
+ * InferenceEngine and a BatchScheduler and runs as a long-lived job on
+ * the server's runtime::ThreadPool; all K engines are wired to the
+ * *same* ArtifactReader, which is immutable after open() (an mmap'd
+ * file plus parsed metadata), so sharing it across loops is free while
+ * every engine keeps its own mutable state (LRU decode cache, stats)
+ * private. Because the loops are pool workers, engine-internal
+ * parallelFor runs inline in them (runtime::ThreadPool nested-call
+ * rule): throughput scales by request-level parallelism.
  *
- * *Threaded* (default): the Server owns a pool of InferenceEngine
- * instances — one per worker thread — all wired to the *same*
- * ArtifactReader. The reader is immutable after open() (an mmap'd file
- * plus parsed metadata), so sharing it across threads is free: every
- * engine streams palettized tiles and borrows raw_f32 views from the
- * one mapping, while keeping its own mutable state (LRU decode cache,
- * KV cache, stats) private. Requests flow through a work queue on the
- * existing runtime::ThreadPool; each request is executed start to
- * finish by exactly one engine. Engine-internal parallel loops degrade
- * to serial inside pool workers (runtime::ThreadPool nested-call
- * rule), so throughput scales by request-level parallelism.
- *
- * *Batched* (ServerConfig::batched): ONE engine plus a BatchScheduler
- * driven by a dedicated step-loop thread (a plain std::thread, not a
- * pool worker, so engine-internal parallelFor still fans out).
- * submit() enqueues the ticket on a server-owned queue; the loop admits
- * queued requests into scheduler slots whenever one frees, and every
- * in-flight request's next token rides one batched forward per step.
- * release() of a ticket still waiting in the queue cancels it without
- * touching the step loop (the wait() throws); the destructor drains
- * queue and in-flight slots before joining the loop.
+ * submit() appends the ticket to one shared FIFO queue. A loop admits
+ * the queue head into a scheduler slot whenever it has one free, and
+ * every in-flight request's next token rides its loop's batched
+ * forward per step. ServerConfig picks only the loop shape:
+ *   - threaded (the default): `threads` loops of maxBatch 1, with no
+ *     prefill chunking and no prefix cache — one request per engine at
+ *     a time;
+ *   - batched: one loop with ServerConfig::scheduler as given.
+ * release() of a ticket still waiting in the queue cancels it on the
+ * spot (the wait() throws); the destructor drains the queue and every
+ * in-flight slot before the loops stop.
  *
  * Either way the response depends only on the request and the artifact
- * — never on scheduling: N-thread and batched serving are bit-identical
- * to serial execution, which tests/test_server.cc enforces under an
- * 8-thread interleaving stress and batched-vs-threaded comparisons.
+ * — never on scheduling: every loop shape is bit-identical to serial
+ * InferenceEngine::generate, which tests/test_server.cc enforces under
+ * an 8-loop interleaving stress and in both shapes.
  *
  * *Hot model swap* (swap()): load artifact N+1 while N keeps serving.
  * Every ticket is stamped with the server generation current at
  * submit() and pins its own ArtifactReader, so a swap never drops or
  * re-targets a ticket: requests submitted before the swap complete
  * against artifact N, requests submitted after run against N+1, and
- * no request ever mixes weights from both. Threaded mode rebuilds each
- * worker engine lazily the first time it picks up a newer-generation
- * ticket; batched mode drains the in-flight slots, then retargets the
- * step loop (BatchScheduler::swapEngine) between steps. The old
- * mapping is released once the last old-generation record completes
- * (records drop their reader pin at completion).
+ * no request ever mixes weights from both. swap() probe-builds one
+ * engine per loop up front; each loop drains its in-flight slots, then
+ * cuts over to its new engine between its own steps
+ * (BatchScheduler::swapEngine). The old mapping is released once the
+ * last old-generation record completes (records drop their reader pin
+ * at completion).
  *
  * *Deadlines and cancellation*: Request::deadline and Request::cancel
- * flow through both modes. Expiry / release() of an in-flight ticket
- * interrupts it at the next between-steps check (never mid-forward —
- * surviving requests stay bit-identical), and wait() rethrows the
- * typed DeadlineExceeded / Cancelled error.
+ * are checked at admission and between steps. Expiry / release() of an
+ * in-flight ticket interrupts it at the next between-steps check (never
+ * mid-forward — surviving requests stay bit-identical), and wait()
+ * rethrows the typed DeadlineExceeded / Cancelled error.
  */
 
 #ifndef EDKM_SERVE_SERVER_H_
@@ -60,7 +58,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -77,13 +74,18 @@ namespace serve {
 /** Server knobs. */
 struct ServerConfig
 {
-    /** Worker threads == engine instances (>= 1). Ignored in batched
-     *  mode, which runs one engine under the step loop. */
+    /** Step loops (>= 1) when not batched, each with its own engine
+     *  and one request in flight. Ignored when batched. */
     int threads = 2;
-    /** Per-engine configuration (decode cache budget, KV decode). */
+    /**
+     * Per-engine configuration (decode-cache budget; kvCapacity caps
+     * each request's KV cache in the threaded shape). kvCacheDecode is
+     * not read: every loop decodes through per-request KV caches, which
+     * gives the same output bits as the full-prefix recompute.
+     */
     EngineConfig engine;
-    /** Continuous batching: one engine, one step-loop thread, all
-     *  in-flight requests decoded by shared batched forwards. */
+    /** Loop shape: one loop running `scheduler` instead of `threads`
+     *  loops of maxBatch 1. */
     bool batched = false;
     /** Step-loop knobs (batch width, prefill chunking, prefix cache);
      *  only read when batched. */
@@ -102,15 +104,14 @@ class Server
     struct RequestStats
     {
         RequestId id = 0;
-        int engine = -1; ///< which engine instance served it
+        int engine = -1; ///< index of the step loop that served it
         int64_t generation = 0; ///< artifact generation served against
         int64_t promptTokens = 0;
         int64_t newTokens = 0;
         double millis = 0.0; ///< execution time (excluding queue wait)
-        double queueMillis = 0.0; ///< submit-to-execution-start wait
-        // Batched mode only (zero in threaded mode):
+        double queueMillis = 0.0; ///< submit-to-admission wait
         int64_t prefillChunks = 0;      ///< prefill continuations run
-        int64_t decodeSteps = 0;        ///< batched steps joined
+        int64_t decodeSteps = 0;        ///< loop steps decoded in
         int64_t reusedPrefixTokens = 0; ///< restored from the prefix cache
     };
 
@@ -164,12 +165,11 @@ class Server
      * returns run against @p next, tickets already submitted complete
      * against the artifact they were stamped with at submit() — none
      * are dropped, none mix generations (the prefix cache flushes at
-     * the generation boundary). Blocks until the serving side has cut
-     * over: threaded mode drains old-generation work and rebuilds idle
-     * engines; batched mode waits for the step loop to drain its slots
-     * and retarget the scheduler. Concurrent submit()/wait()/release()
-     * are safe throughout. Throws (and leaves the server untouched) if
-     * @p next cannot back an engine.
+     * the generation boundary). Blocks until every step loop has
+     * drained its old-generation slots and cut over to its new engine.
+     * Concurrent submit()/wait()/release() are safe throughout. Throws
+     * (and leaves the server untouched) if @p next cannot back an
+     * engine.
      */
     void swap(std::shared_ptr<const ArtifactReader> next);
 
@@ -178,9 +178,10 @@ class Server
     int64_t generation() const;
 
     /**
-     * Stats of engine instance @p i (in [0, threads) threaded; only 0
+     * Stats of step loop @p i's engine, i in [0, K) (K = threads, or 1
      * batched). Only meaningful while no request is in flight (engines
-     * are otherwise mutating their own counters).
+     * are otherwise mutating their own counters); a swap() starts the
+     * counters afresh with the new engine.
      */
     const EngineStats &engineStats(int i) const;
 
@@ -188,17 +189,17 @@ class Server
      *  queued tickets cancelled by release(). */
     int64_t completed() const;
 
-    /** Queued tickets cancelled by release() before admission
-     *  (batched mode). */
+    /** Queued tickets cancelled by release() before admission. */
     int64_t cancelled() const;
 
     /**
      * Serving metrics as a JSON object string: queue depth / peak /
-     * cancellations, plus (batched) the scheduler's counters — step
-     * batch-size histogram, per-phase token counts and the prefix
-     * cache's hit/miss/eviction accounting. The scheduler block is a
-     * snapshot the step loop publishes after each step, so it is exact
-     * as of the most recent step (and fully exact once idle).
+     * cancellations, latency histograms, plus the scheduler counters —
+     * step batch-size histogram, per-phase token counts and the prefix
+     * cache's hit/miss/eviction accounting — merged over the K loops
+     * (counts add, peak_batch is the max). Each loop publishes its
+     * snapshot after each of its steps, so the block is exact as of
+     * every loop's most recent step (and fully exact once idle).
      */
     std::string metricsJson() const;
 
@@ -208,11 +209,11 @@ class Server
         Request request;
         Response response;
         RequestStats stats;
-        std::shared_future<void> done;
-        /** Batched mode: completion is promise-backed (the scheduler's
-         *  callback fulfils it) instead of pool-future-backed. */
+        /** Fulfilled by the scheduler's completion callback, or by
+         *  release() for a ticket cancelled while queued. */
         std::promise<void> promise;
-        bool queued = false; ///< batched: still awaiting admission
+        std::shared_future<void> done;
+        bool queued = true; ///< still awaiting admission
         /** Server generation at submit(): the artifact this ticket is
          *  served against, swap or no swap. */
         int64_t generation = 0;
@@ -225,74 +226,68 @@ class Server
         std::chrono::steady_clock::time_point submitted;
     };
 
-    void run(Record &rec);
-    int checkoutEngine() EDKM_EXCLUDES(mutex_);
-    void checkinEngine(int idx) EDKM_EXCLUDES(mutex_);
-    /** Batched-mode step loop (dedicated thread). */
-    void batchLoop() EDKM_EXCLUDES(mutex_);
+    /** One step loop's engine and scheduler: built by the constructor,
+     *  then touched only by the loop's own job. */
+    struct Loop
+    {
+        std::unique_ptr<InferenceEngine> engine;
+        std::unique_ptr<BatchScheduler> scheduler;
+    };
+
+    /** What other threads read from or hand to a loop (under mutex_). */
+    struct LoopState
+    {
+        int64_t gen = 0;   ///< generation the loop is serving
+        bool done = false; ///< loop exited (unblocks waiting swaps)
+        /** Engines probe-built by swap(), installed by the loop at its
+         *  generation cutover (keyed by target generation). */
+        std::map<int64_t, std::unique_ptr<InferenceEngine>> pending;
+        /** Scheduler counters, published after each step. */
+        SchedulerSnapshot stats;
+    };
+
+    /** Step loop @p i (a pool job): admit, step, cut over, until
+     *  stopped and drained. */
+    void loop(size_t i) noexcept EDKM_EXCLUDES(mutex_);
+    /** Every loop has cut over to @p target or exited. */
+    bool loopsSettled(int64_t target) const EDKM_REQUIRES(mutex_);
     /** Completion future of @p id (copied out under the lock; safe to
      *  block on while release() erases the record). */
     std::shared_future<void> ticket(RequestId id) const
         EDKM_EXCLUDES(mutex_);
 
     ServerConfig config_;
-    /** Engine instances. NOT guarded by mutex_ on purpose: each index
-     *  is owned exclusively — threaded mode by whichever job checked
-     *  the index out of free_ (at most one at a time), batched mode by
-     *  the step loop (index 0 only, rebuilt at the generation cutover
-     *  while it alone runs). engineStats() reads are documented as
-     *  only meaningful while idle. */
-    std::vector<std::unique_ptr<InferenceEngine>> engines_;
+    const char *mode_ = ""; ///< "threaded" / "batched", for metrics
+    /** NOT guarded by mutex_ on purpose: each index is owned by its
+     *  loop's job (the engine is replaced only at that loop's own
+     *  cutover). engineStats() reads are documented as only
+     *  meaningful while idle. */
+    std::vector<Loop> loops_;
 
     mutable util::Mutex mutex_;
     /** Artifact new submissions pin (swap() repoints it). */
     std::shared_ptr<const ArtifactReader> reader_ EDKM_GUARDED_BY(mutex_);
-    std::vector<int> free_ EDKM_GUARDED_BY(mutex_); ///< idle engine slots
-    /** Threaded: generation engines_[i] was built against; a checkout
-     *  whose ticket is newer rebuilds the engine from the ticket's
-     *  reader first. */
-    std::vector<int64_t> engine_gen_ EDKM_GUARDED_BY(mutex_);
     std::unordered_map<RequestId, std::unique_ptr<Record>> records_
         EDKM_GUARDED_BY(mutex_);
+    /** Submitted, not yet admitted (FIFO, shared by every loop). */
+    std::deque<RequestId> queue_ EDKM_GUARDED_BY(mutex_);
+    std::vector<LoopState> states_ EDKM_GUARDED_BY(mutex_); ///< per loop
+    util::CondVar cv_; ///< wakes the loops and swaps: submit/swap/stop
+    bool stop_ EDKM_GUARDED_BY(mutex_) = false;
     RequestId next_id_ EDKM_GUARDED_BY(mutex_) = 1;
     /** Generation new submissions are stamped with. */
     int64_t gen_ EDKM_GUARDED_BY(mutex_) = 0;
     int64_t completed_ EDKM_GUARDED_BY(mutex_) = 0;
-    /** Submit-to-start and submit-to-completion latencies (ms). */
+    int64_t cancelled_ EDKM_GUARDED_BY(mutex_) = 0;
+    int64_t peak_queue_ EDKM_GUARDED_BY(mutex_) = 0;
+    /** Submit-to-admission and submit-to-completion latencies (ms). */
     LatencyHistogram queue_wait_hist_ EDKM_GUARDED_BY(mutex_);
     LatencyHistogram e2e_hist_ EDKM_GUARDED_BY(mutex_);
 
-    // Batched mode. The scheduler object (and its engine) is stepped
-    // only by loop_ with mutex_ released; the queue and flags below are
-    // shared under mutex_.
-    std::unique_ptr<BatchScheduler> scheduler_;
-    /** Submitted, not yet admitted. */
-    std::deque<RequestId> queue_ EDKM_GUARDED_BY(mutex_);
-    util::CondVar cv_; ///< wakes the loop: submit/swap/stop
-    bool stop_ EDKM_GUARDED_BY(mutex_) = false;
-    /** Loop exited (unblocks waiting swaps). */
-    bool loop_done_ EDKM_GUARDED_BY(mutex_) = false;
-    /** Generation the step loop is serving. */
-    int64_t loop_gen_ EDKM_GUARDED_BY(mutex_) = 0;
-    /** Engines probe-built by swap(), installed by the loop at the
-     *  generation cutover (keyed by target generation). */
-    std::map<int64_t, std::unique_ptr<InferenceEngine>> pending_engines_
-        EDKM_GUARDED_BY(mutex_);
-    int64_t cancelled_ EDKM_GUARDED_BY(mutex_) = 0;
-    int64_t peak_queue_ EDKM_GUARDED_BY(mutex_) = 0;
-    /** Scheduler stats snapshot, published by the loop under mutex_
-     *  after each step so metricsJson() never races the step loop. */
-    std::string sched_json_ EDKM_GUARDED_BY(mutex_);
-    // lint:allow(raw-thread) the batched mode's dedicated step loop:
-    // deliberately NOT a pool worker, so engine-internal parallelFor
-    // still fans out across the runtime pool (see batchLoop()).
-    std::thread loop_;
-
-    /**
-     * Declared last: destroyed first, so the pool drains every queued
-     * job (which touch the members above) before they are torn down.
-     * (Batched mode joins loop_ in the destructor body instead.)
-     */
+    std::vector<std::future<void>> jobs_; ///< the loop jobs
+    /** One worker per loop; declared last, so it is destroyed (its
+     *  idle workers joined) before the members the loops touch. The
+     *  destructor body stops and awaits the loop jobs first. */
     std::unique_ptr<runtime::ThreadPool> pool_;
 };
 

@@ -2,12 +2,13 @@
  * @file
  * Tests for the serving surface: borrowed-mode Storage lifetime and
  * accounting, the streamed matmul's bit-identity with the dense kernel,
- * palette views, the v2 artifact container (round trip, alignment, v1
- * compatibility gate, fuzz-ish corruption rejection), ArtifactReader
+ * palette views, the v2 artifact container (round trip, alignment,
+ * bad-magic and fuzz-ish corruption rejection), ArtifactReader
  * zero-copy views, and InferenceEngine bit-exactness against the
  * eagerly reconstructed model for every codec.
  */
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
@@ -267,40 +268,6 @@ TEST(ArtifactV2, EmitsAlignedSectionsAndRoundTripsBitExact)
     }
     // Serialisation is deterministic: same artifact, same bytes.
     EXPECT_EQ(bytes, back.serialize());
-}
-
-TEST(ArtifactV2, V1FilesStillLoadThroughTheVersionGate)
-{
-    nn::MiniLlama model = tinyModel();
-    api::SessionResult res = compressTiny(model, "edkm");
-
-    std::vector<uint8_t> v1 = res.artifact.serializeV1();
-    ASSERT_TRUE(api::isArtifactV1(v1.data(), v1.size()));
-    std::string path = writeTemp(v1, "edkm_test_v1_artifact.edkm");
-
-    api::ModelArtifact loaded = api::ModelArtifact::load(path);
-    nn::MiniLlama eager = res.artifact.reconstruct();
-    nn::MiniLlama fromV1 = loaded.reconstruct();
-    auto a = eager.namedParameters();
-    auto b = fromV1.namedParameters();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].second.data().toVector(),
-                  b[i].second.data().toVector())
-            << a[i].first;
-    }
-
-    // The serving reader consumes v1 through its compat path too.
-    auto reader = serve::ArtifactReader::open(path);
-    EXPECT_EQ(reader->version(), api::kArtifactVersionV1);
-    EXPECT_EQ(reader->scheme(), res.artifact.scheme);
-    EXPECT_EQ(reader->fileBytes(), static_cast<int64_t>(v1.size()));
-    serve::InferenceEngine engine(reader);
-    Tensor toks = tokenBatch(1, 6, 64, 31);
-    NoGradGuard ng;
-    EXPECT_EQ(engine.forward(toks).toVector(),
-              eager.forward(toks).data().toVector());
-    std::remove(path.c_str());
 }
 
 TEST(ArtifactV2, CorruptionIsRejectedWithTheSectionNamed)
@@ -851,6 +818,16 @@ TEST(Reader, MissingFileAndBadMagicFailActionably)
     std::string path = writeTemp(
         std::vector<uint8_t>(128, 0x5a), "edkm_test_badmagic.edkm");
     EXPECT_THROW(serve::ArtifactReader::open(path), FatalError);
+    std::remove(path.c_str());
+
+    // A v1 container magic ("EDKMMDL1") is a bad magic too, for the
+    // reader and for the eager loader alike.
+    std::vector<uint8_t> v1(128, 0);
+    const char magic[] = "EDKMMDL1";
+    std::copy(magic, magic + 8, v1.begin());
+    path = writeTemp(v1, "edkm_test_v1magic.edkm");
+    EXPECT_THROW(serve::ArtifactReader::open(path), FatalError);
+    EXPECT_THROW(api::ModelArtifact::load(path), FatalError);
     std::remove(path.c_str());
 }
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Concurrent-serving tests: a serve::Server fans requests out to
- * per-thread engines over one shared ArtifactReader, and the outputs
- * must be bit-identical to serial execution — scheduling, interleaving
- * and per-engine cache state may never leak into a response. Also
- * covers the ticket API (submit/wait, per-request stats, error
- * propagation) and per-thread LRU decode-cache isolation under
- * concurrency.
+ * Concurrent-serving tests: a serve::Server runs requests on K step
+ * loops (one engine each) over one shared ArtifactReader, and the
+ * outputs must be bit-identical to serial execution — loop shape,
+ * scheduling, interleaving and per-engine cache state may never leak
+ * into a response. Also covers the ticket API (submit/wait,
+ * per-request stats, error propagation) and per-loop LRU decode-cache
+ * isolation under concurrency.
  */
 
 #include <algorithm>
@@ -241,40 +241,57 @@ TEST(Server, BatchedModeBitIdenticalToSerialWithSharedPrompts)
         want.push_back(serial.generate(r).tokens);
     }
 
-    serve::ServerConfig cfg;
-    cfg.batched = true;
-    cfg.scheduler.maxBatch = 4;
-    cfg.scheduler.prefillChunkTokens = 3;
-    cfg.scheduler.prefixCacheBytes = 1 << 20;
-    serve::Server server(reader, cfg);
-    for (int pass = 0; pass < 2; ++pass) {
-        std::vector<serve::Server::RequestId> ids =
-            server.submit(requests);
-        std::vector<serve::Server::Response> got = server.wait(ids);
-        ASSERT_EQ(got.size(), requests.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].tokens, want[i])
-                << "pass " << pass << " request " << i;
-        }
-        for (size_t i = 0; i < ids.size(); ++i) {
-            serve::Server::RequestStats st = server.requestStats(ids[i]);
-            EXPECT_EQ(st.promptTokens,
-                      static_cast<int64_t>(requests[i].prompt.size()));
-            EXPECT_EQ(st.newTokens, requests[i].maxNewTokens);
-            if (requests[i].maxNewTokens > 1) {
-                EXPECT_GT(st.decodeSteps, 0) << "request " << i;
+    // The threaded shape (4 loops of one request each) runs the same
+    // step loops, so its stats and metrics carry the same fields.
+    serve::ServerConfig threaded;
+    threaded.threads = 4;
+    serve::ServerConfig batched;
+    batched.batched = true;
+    batched.scheduler.maxBatch = 4;
+    batched.scheduler.prefillChunkTokens = 3;
+    batched.scheduler.prefixCacheBytes = 1 << 20;
+    for (const serve::ServerConfig &cfg : {batched, threaded}) {
+        serve::Server server(reader, cfg);
+        for (int pass = 0; pass < 2; ++pass) {
+            std::vector<serve::Server::RequestId> ids =
+                server.submit(requests);
+            std::vector<serve::Server::Response> got = server.wait(ids);
+            ASSERT_EQ(got.size(), requests.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].tokens, want[i])
+                    << "pass " << pass << " request " << i;
             }
+            for (size_t i = 0; i < ids.size(); ++i) {
+                serve::Server::RequestStats st =
+                    server.requestStats(ids[i]);
+                EXPECT_EQ(st.promptTokens,
+                          static_cast<int64_t>(requests[i].prompt.size()));
+                EXPECT_EQ(st.newTokens, requests[i].maxNewTokens);
+                if (requests[i].maxNewTokens > 1) {
+                    EXPECT_GT(st.decodeSteps, 0) << "request " << i;
+                }
+            }
+            server.release(ids);
         }
-        server.release(ids);
+        EXPECT_EQ(server.completed(),
+                  2 * static_cast<int64_t>(requests.size()));
+        // The metrics surface reports the mode, the step histogram and
+        // (batched) a warm prefix cache.
+        std::string json = server.metricsJson();
+        if (cfg.batched) {
+            EXPECT_NE(json.find("\"mode\": \"batched\""),
+                      std::string::npos);
+        } else {
+            EXPECT_NE(json.find("\"mode\": \"threaded\""),
+                      std::string::npos);
+            EXPECT_EQ(json.find("\"scheduler\": null"), std::string::npos);
+            // Merged over four loops of one slot each: the peak is
+            // the loops' maximum, not their sum.
+            EXPECT_NE(json.find("\"peak_batch\": 1,"), std::string::npos);
+        }
+        EXPECT_NE(json.find("\"batch_histogram\""), std::string::npos);
+        EXPECT_NE(json.find("\"queue_depth\": 0"), std::string::npos);
     }
-    EXPECT_EQ(server.completed(),
-              2 * static_cast<int64_t>(requests.size()));
-    // The metrics surface reports the mode, the step histogram and a
-    // warm prefix cache.
-    std::string json = server.metricsJson();
-    EXPECT_NE(json.find("\"mode\": \"batched\""), std::string::npos);
-    EXPECT_NE(json.find("\"batch_histogram\""), std::string::npos);
-    EXPECT_NE(json.find("\"queue_depth\": 0"), std::string::npos);
     std::remove(path.c_str());
 }
 
@@ -282,23 +299,30 @@ TEST(Server, BatchedReleaseCancelsQueuedTicketWithoutWedgingTheLoop)
 {
     std::string path = savedArtifact("rtn", "cancel");
     auto reader = serve::ArtifactReader::open(path);
-    serve::ServerConfig cfg;
-    cfg.batched = true;
-    cfg.scheduler.maxBatch = 1; // everything behind `first` queues
-    serve::Server server(reader, cfg);
+    // One slot either way: a single batched loop of width 1, or the
+    // threaded shape with one loop.
+    serve::ServerConfig batched;
+    batched.batched = true;
+    batched.scheduler.maxBatch = 1; // everything behind `first` queues
+    serve::ServerConfig threaded;
+    threaded.threads = 1;
+    for (const serve::ServerConfig &cfg : {batched, threaded}) {
+        serve::Server server(reader, cfg);
 
-    // A long-running head keeps the single slot busy while the queued
-    // tickets behind it are cancelled / served.
-    serve::Server::RequestId first = server.submit({{1, 2, 3}, 400});
-    serve::Server::RequestId doomed = server.submit({{4, 5}, 2});
-    serve::Server::RequestId kept = server.submit({{6, 7}, 2});
-    server.release(doomed); // still queued: cancelled, loop untouched
+        // A long-running head keeps the single slot busy while the
+        // queued tickets behind it are cancelled / served.
+        serve::Server::RequestId first = server.submit({{1, 2, 3}, 400});
+        serve::Server::RequestId doomed = server.submit({{4, 5}, 2});
+        serve::Server::RequestId kept = server.submit({{6, 7}, 2});
+        server.release(doomed); // still queued: cancelled, loop untouched
 
-    EXPECT_THROW(server.wait(doomed), FatalError);
-    EXPECT_EQ(server.wait(first).tokens.size(), 403u);
-    EXPECT_EQ(server.wait(kept).tokens.size(), 4u);
-    EXPECT_EQ(server.cancelled(), 1);
-    EXPECT_EQ(server.completed(), 3);
+        EXPECT_THROW(server.wait(doomed), FatalError);
+        EXPECT_EQ(server.wait(first).tokens.size(), 403u);
+        EXPECT_EQ(server.wait(kept).tokens.size(), 4u);
+        EXPECT_EQ(server.cancelled(), 1)
+            << (cfg.batched ? "batched" : "threaded");
+        EXPECT_EQ(server.completed(), 3);
+    }
     std::remove(path.c_str());
 }
 
